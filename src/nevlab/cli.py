@@ -68,6 +68,12 @@ def _emit(report: dict, out: Optional[str] = None,
                 fh.write("\n".join(csv_lines) + "\n")
 
 
+def _csv_row(*values) -> str:
+    """One CSV line; repr(float(x)) keeps every digit and prints numpy
+    scalars as plain numbers."""
+    return ",".join(repr(float(x)) for x in values)
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -116,8 +122,8 @@ def _cmd_nev(args) -> int:
             s.m_val = s.t_val  # a map has no pole decomposition
     lines = [CSV_HEADER]
     for s in samples:
-        lines.append(f"{s.r!r},{s.m_val!r},{s.n_zero!r},{s.n_pole!r},"
-                     f"{s.t_val!r},{s.err!r}")
+        lines.append(_csv_row(s.r, s.m_val, s.n_zero, s.n_pole, s.t_val,
+                              s.err))
     text = "\n".join(lines)
     print(text)
     if args.out:
@@ -207,8 +213,7 @@ def _smt_report_dict(rep) -> dict:
 def _smt_csv(rep) -> List[str]:
     lines = ["r,lhs,rhs,margin,err"]
     for row in rep.rows:
-        lines.append(f"{row.r!r},{row.lhs!r},{row.rhs!r},"
-                     f"{row.margin!r},{row.err!r}")
+        lines.append(_csv_row(row.r, row.lhs, row.rhs, row.margin, row.err))
     return lines
 
 
@@ -247,7 +252,7 @@ def _cmd_verify(args) -> int:
                       "rows": [{"r": s.r, "residual": s.m_val, "err": s.err}
                                for s in samples],
                       "residual_spread": spread}
-            csv = ["r,residual,err"] + [f"{s.r!r},{s.m_val!r},{s.err!r}"
+            csv = ["r,residual,err"] + [_csv_row(s.r, s.m_val, s.err)
                                         for s in samples]
             _emit(report, args.out, csv)
             return 0
@@ -268,7 +273,7 @@ def _cmd_verify(args) -> int:
         w = S.component_from_json(cfg.extra.get("w"), args.config + ":w")
         rep = clunie_check(U, P, Q, w, need("q", cfg.q), cfg.grid, cfg.quad)
         _emit(_jsonable(rep), args.out,
-              ["r,ratio,T"] + [f"{r!r},{x!r},{t!r}" for r, x, t in
+              ["r,ratio,T"] + [_csv_row(*row) for row in
                                zip(rep.radii, rep.ratios, rep.t_values)])
         return 2 if rep.report_only else 0
 
@@ -280,7 +285,7 @@ def _cmd_verify(args) -> int:
         body["floor_holds"] = rep.floor_holds()
         _emit(body, args.out,
               ["r,ratio,hypothesis_ratio,T"]
-              + [f"{r!r},{x!r},{h!r},{t!r}" for r, x, h, t in
+              + [_csv_row(*row) for row in
                  zip(rep.radii, rep.ratios, rep.hypothesis_ratios,
                      rep.t_values)])
         return 2 if rep.report_only else 0

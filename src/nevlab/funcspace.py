@@ -22,9 +22,9 @@ from .errors import UsageError
 from .linalg import SparseEchelon
 from .polynomials import Polynomial, RationalFunction, poly_gcd, try_divide
 from .rationals import GaussianRational, ONE
-from .slicing import (ConstantLineView, FormCompositionLineView, LineView,
-                      PochhammerLineView, ProductLineView, QuotientLineView,
-                      RationalLineView)
+from .slicing import (FormCompositionLineView, LineView, PochhammerLineView,
+                      ProductLineView, QuotientLineView, RationalLineView,
+                      _pochhammer_log)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,8 @@ class SliceFunction:
         raise NotImplementedError
 
     def log_value_at(self, z: np.ndarray) -> complex:
-        """Complex log of the value at a point (real part = log|h(z)|)."""
+        """Complex log of the value at a point (real part = log|h(z)|,
+        imaginary part defined only mod 2*pi)."""
         raise NotImplementedError
 
     def scale_q(self, factors: Sequence[complex]) -> "SliceFunction":
@@ -134,28 +135,17 @@ class ProductEntireSlice(SliceFunction):
     def __init__(self, spec: QPochhammerSpec):
         self.spec = spec
         self.nvars = spec.argument.nvars
+        self._lin, self._const = spec.affine_parts()
 
     def line_view(self, xi):
-        xi = np.asarray(xi, dtype=complex)
-        lin, const = self.spec.affine_parts()
-        a = complex(np.dot(lin, xi))
-        return PochhammerLineView(self.spec.qbase, a, const, self.spec.tail)
+        a = complex(np.dot(self._lin, np.asarray(xi, dtype=complex)))
+        return PochhammerLineView(self.spec.qbase, a, self._const,
+                                  self.spec.tail)
 
     def log_value_at(self, z):
-        z = np.asarray(z, dtype=complex)
-        lin, const = self.spec.affine_parts()
-        ell = complex(np.dot(lin, z)) + const
-        q = self.spec.qbase
-        n = 1
-        if abs(ell) > self.spec.tail:
-            n = max(1, int(math.ceil(
-                math.log(self.spec.tail / abs(ell)) / math.log(abs(q)))) + 1)
-        out = 0j
-        qk = 1 + 0j
-        for _ in range(n):
-            out += complex(np.log(complex(1 - ell * qk)))
-            qk *= q
-        return out
+        ell = complex(np.dot(self._lin, np.asarray(z, dtype=complex))) \
+            + self._const
+        return complex(_pochhammer_log(self.spec.qbase, ell, self.spec.tail))
 
     def scale_q(self, factors):
         exact = all(isinstance(f, (int, Fraction, GaussianRational))

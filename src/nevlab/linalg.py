@@ -8,7 +8,7 @@ so far" and "does this row add anything new".
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable
 
 
 class SparseEchelon:
@@ -49,13 +49,3 @@ class SparseEchelon:
         row = {c: v / inv for c, v in row.items()}
         self.pivots[lead] = row
         return True
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
-
-
-def rank_of(rows) -> int:
-    ech = SparseEchelon()
-    for r in rows:
-        ech.add(r)
-    return ech.rank

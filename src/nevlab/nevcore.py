@@ -178,18 +178,22 @@ def _count_from_roots(roots, r: float) -> float:
     return out
 
 
-def _line_counts(view: LineView, r: float,
-                 n_theta: int) -> Tuple[float, float, float]:
-    """(N_zero, N_pole, err) on one line at radius r."""
+def _line_counts(view: LineView, radii: Sequence[float],
+                 n_theta: int) -> List[Tuple[float, float, float]]:
+    """(N_zero, N_pole, err) on one line at each radius; Jensen counting
+    evaluates the unit circle once for all radii."""
     if view.identically_zero:
         raise UsageError("function vanishes identically on a sampled line")
     if view.has_closed_zeros:
-        return (_count_from_roots(view.zeros(r), r),
-                _count_from_roots(view.poles(r), r), 0.0)
+        return [(_count_from_roots(view.zeros(r), r),
+                 _count_from_roots(view.poles(r), r), 0.0) for r in radii]
     if view.is_entire:
-        ir, er = circle_mean_log(view, r, n_theta)
         i1, e1 = circle_mean_log(view, 1.0, n_theta)
-        return ir - i1, 0.0, er + e1
+        out = []
+        for r in radii:
+            ir, er = circle_mean_log(view, r, n_theta)
+            out.append((ir - i1, 0.0, er + e1))
+        return out
     raise NumericError(
         "line view has neither closed zeros nor entire Jensen counting")
 
@@ -211,8 +215,8 @@ def counting(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
     views = [h.line_view(xi) for xi in dirs.directions]
     out = [NevSample(r) for r in grid.radii]
     for v, w in zip(views, dirs.weights):
-        for s in out:
-            nz, npole, err = _line_counts(v, s.r, quad.n_theta)
+        counts = _line_counts(v, grid.radii, quad.n_theta)
+        for s, (nz, npole, err) in zip(out, counts):
             s.n_zero += w * nz
             s.n_pole += w * npole
             s.err += w * err
@@ -347,10 +351,10 @@ def fmt_residual(f: ProjectiveMap, D, grid: RadialGrid, quad: QuadratureSpec,
     out = [NevSample(r) for r in grid.radii]
     for vs, dv, w in zip(views, dviews, dirs.weights):
         base, ebase = _sphere_max_mean(vs, 1.0, quad.n_theta)
-        for s in out:
+        counts = _line_counts(dv, grid.radii, quad.n_theta)
+        for s, (nz, _, en) in zip(out, counts):
             lmax, el = _sphere_max_mean(vs, s.r, quad.n_theta)
             idf, ed = circle_mean_log(dv, s.r, quad.n_theta)
-            nz, _, en = _line_counts(dv, s.r, quad.n_theta)
             # m_f(r,Q) = mean log(||f||^d / |D(f)|); T normalized at 1
             mval = d * lmax - idf
             tval = lmax - base

@@ -9,7 +9,6 @@ restriction are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -301,16 +300,6 @@ def try_divide(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
     return _raw(p.nvars, quot)
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise UsageError(f"unknown op {op!r}")
-
-
 def _vars_used(p: Polynomial) -> set:
     used = set()
     for e in p.terms:
@@ -503,29 +492,3 @@ class RationalFunction:
         if self.is_polynomial():
             return f"RationalFunction({self.num!r})"
         return f"RationalFunction({self.num!r} / {self.den!r})"
-
-
-def restrict_to_line(p, xi, tol: float = 1e-6):
-    """Restrict a Polynomial or RationalFunction to the line z = u*xi.
-
-    Exact entries (ints, Fractions, GaussianRationals) keep the result
-    exact; float/complex directions fall back to double precision.  The
-    direction must have unit norm within tol (exact inputs are exempt so
-    that symbolic identities like (a,b) -> a^2 u^2 + b u stay available).
-    """
-    exact = all(isinstance(x, (int, Fraction, GaussianRational)) for x in xi)
-    if isinstance(p, RationalFunction):
-        if exact:
-            return RationalFunction(p.num.restrict_exact(xi),
-                                    p.den.restrict_exact(xi))
-        return (p.num.restrict_numeric(np.asarray(xi, dtype=complex)),
-                p.den.restrict_numeric(np.asarray(xi, dtype=complex)))
-    if exact:
-        return p.restrict_exact(xi)
-    xi = np.asarray(xi, dtype=complex)
-    nrm = float(np.linalg.norm(xi))
-    if nrm == 0.0:
-        raise UsageError("zero direction")
-    if abs(nrm - 1.0) > tol:
-        raise UsageError(f"direction norm {nrm} is not 1 within {tol}")
-    return p.restrict_numeric(xi)

@@ -1,7 +1,8 @@
 """One-variable views of functions restricted to a complex line.
 
 A LineView represents u -> h(u*xi) for a fixed direction xi.  Views expose
-log-domain evaluation (log_values, whose real part is log|h|) so that
+log-domain evaluation (log_values, whose real part is log|h| and whose
+imaginary part is an argument of h defined only mod 2*pi) so that
 high-degree compositions never overflow, plus certified zero/pole multisets
 inside a disk when the variant knows its divisor in closed form
 (has_closed_zeros).  Entire views without closed zeros are still countable
@@ -29,6 +30,8 @@ class LineView:
     has_closed_zeros = True
 
     def log_values(self, u: np.ndarray) -> np.ndarray:
+        """Complex log of h at the nodes u: the real part is log|h|, the
+        imaginary part is defined only mod 2*pi."""
         raise NotImplementedError
 
     def log_abs(self, u: np.ndarray) -> np.ndarray:
@@ -115,8 +118,74 @@ class RationalLineView(LineView):
         return [(a, m) for a, m in self._roots()[1] if abs(a) <= r]
 
 
+# at most this many factors share one log, and a chunk's product is kept
+# below 10**_CHUNK_LOG10 in magnitude
+_CHUNK = 16
+_CHUNK_LOG10 = 250.0
+# chunks per block: bounds the (factors x nodes) array of one pass
+_BLOCK = 32
+_TINY = np.finfo(float).tiny
+
+
+def _nterms(qbase: complex, tail: float, lmax: float) -> int:
+    """Terms k kept in prod_k (1 - l*qbase^k): until |l| * |q|^k < tail."""
+    if lmax <= 0:
+        return 1
+    k = math.log(tail / max(lmax, tail)) / math.log(abs(qbase))
+    return max(1, int(math.ceil(k)) + 1)
+
+
+def _pochhammer_log(qbase, ell, tail: float) -> np.ndarray:
+    """sum_{k < n} log(1 - ell * qbase^k) for an array ell of any shape,
+    with n = _nterms(max |ell|).
+
+    Consecutive factors are multiplied in chunks that take one log each.
+    Every factor of a chunk starting at term k has magnitude at most
+    1 + max|ell| * |q|^k, which sets the chunk length so that its product
+    cannot overflow.  The real part is log|prod|; the imaginary part is
+    defined only mod 2*pi.  A zero factor gives a -inf real part, and so
+    does a chunk whose product falls below the normal double range, which
+    needs one factor below ~1e-250 (for |q| <= 0.9999): the node lies on a
+    zero to double precision.
+    """
+    q = complex(qbase)
+    ell = np.asarray(ell, dtype=complex)
+    lmax = float(np.max(np.abs(ell))) if ell.size else 0.0
+    n = _nterms(q, tail, lmax)
+    starts = []
+    k = 0
+    while k < n:
+        starts.append(k)
+        grow = math.log10(1.0 + lmax * abs(q) ** k)
+        k += _CHUNK if grow * _CHUNK <= _CHUNK_LOG10 \
+            else max(1, int(_CHUNK_LOG10 / grow))
+    qpow = np.cumprod(np.concatenate(([1.0 + 0j], np.full(n - 1, q))))
+    flat = ell.reshape(-1)
+    logabs = np.zeros(flat.size)
+    arg = np.zeros(flat.size)
+    with np.errstate(divide="ignore"):
+        for b in range(0, len(starts), _BLOCK):
+            lo = starts[b]
+            hi = starts[b + _BLOCK] if b + _BLOCK < len(starts) else n
+            factors = 1 - np.multiply.outer(qpow[lo:hi], flat)
+            prods = np.multiply.reduceat(
+                factors, np.asarray(starts[b:b + _BLOCK]) - lo, axis=0)
+            # log|.| and angle separately: numpy's complex log is several
+            # times slower on these large-magnitude products
+            mag = np.abs(prods)
+            # a subnormal product has lost its precision: read it as a zero
+            mag[mag < _TINY] = 0.0
+            logabs += np.sum(np.log(mag), axis=0)
+            arg += np.sum(np.angle(prods), axis=0)
+    return (logabs + 1j * arg).reshape(ell.shape)
+
+
 class PochhammerLineView(LineView):
-    """u -> prod_{k>=0} (1 - (a*u + b) * qbase^k), truncated adaptively."""
+    """u -> prod_{k>=0} (1 - (a*u + b) * qbase^k), truncated adaptively.
+
+    log_values takes one log per chunk of factors (_pochhammer_log), so its
+    imaginary part is defined only mod 2*pi.
+    """
 
     def __init__(self, qbase: complex, a: complex, b: complex,
                  tail: float = 1e-15):
@@ -127,34 +196,12 @@ class PochhammerLineView(LineView):
         self.b = complex(b)
         self.tail = tail
         if self.a == 0:
-            v = self._const_value()
-            self.identically_zero = (v == 0)
-
-    def _nterms(self, lmax: float) -> int:
-        if lmax <= 0:
-            return 1
-        # |l| * |q|^k < tail
-        k = math.log(self.tail / max(lmax, self.tail)) / math.log(abs(self.qbase))
-        return max(1, int(math.ceil(k)) + 1)
-
-    def _const_value(self) -> complex:
-        n = self._nterms(abs(self.b))
-        out = 1.0 + 0j
-        for k in range(n):
-            out *= 1 - self.b * self.qbase**k
-        return out
+            self.identically_zero = bool(np.isneginf(
+                _pochhammer_log(self.qbase, self.b, tail).real))
 
     def log_values(self, u):
         u = np.asarray(u, dtype=complex)
-        ell = self.a * u + self.b
-        n = self._nterms(float(np.max(np.abs(ell))) if ell.size else 0.0)
-        out = np.zeros(u.shape, dtype=complex)
-        qk = 1.0 + 0j
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(n):
-                out = out + np.log(1 - ell * qk)
-                qk *= self.qbase
-        return out
+        return _pochhammer_log(self.qbase, self.a * u + self.b, self.tail)
 
     def zeros(self, r):
         """Solutions of a*u + b = qbase^{-k}, k >= 0, inside |u| <= r."""

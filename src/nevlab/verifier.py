@@ -18,14 +18,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HypothesisFailure, NumericError, UsageError
+from .errors import HypothesisFailure, UsageError
 from .funcspace import (CompositionSlice, HomogeneousForm, ProjectiveMap,
                         RationalSlice, SliceFunction, apply_form,
                         check_general_position, constant_slice)
 from .filtration import filtration_report, lift_to_common_degree
 from .nevcore import (DirectionSet, NevSample, QuadratureSpec, RadialGrid,
-                      _nodes, characteristic, counting, circle_mean_log,
-                      fit_slope, map_directions, order_estimate, proximity)
+                      _nodes, characteristic, counting, fit_slope,
+                      map_directions, order_estimate, proximity)
 from .polynomials import Polynomial, RationalFunction, try_divide
 from .qops import (QShift, algebraic_nondegeneracy, casorati,
                    casorati_monomials, linear_nondegeneracy, q_periodic_test,
@@ -94,10 +94,6 @@ def _zero_order_hypothesis(t_samples: Sequence[NevSample]) -> Tuple[bool, str]:
     return ok, f"order estimate {zeta:.3f} (threshold {ORDER_ZERO_THRESHOLD})"
 
 
-def _counting_series(h: SliceFunction, grid, quad, dirs) -> List[NevSample]:
-    return counting(h, grid, quad, dirs)
-
-
 def _resample_for(f: ProjectiveMap, extras: Sequence[SliceFunction],
                   quad: QuadratureSpec) -> DirectionSet:
     """One direction set, nondegenerate for the map and every extra slice,
@@ -147,8 +143,8 @@ def verify_cartan_smt(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
     dirs = _resample_for(f, comps + [C], quad)
     t = characteristic(f, grid, quad, dirs)
     rep.hypotheses["zero_order"] = _zero_order_hypothesis(t)
-    n_forms = [_counting_series(h, grid, quad, dirs) for h in comps]
-    n_cas = _counting_series(C, grid, quad, dirs)
+    n_forms = [counting(h, grid, quad, dirs) for h in comps]
+    n_cas = counting(C, grid, quad, dirs)
     rep.t_values = [s.t_val for s in t]
     for i, s in enumerate(t):
         lhs = (p - n - 1) * s.t_val
@@ -204,7 +200,7 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
     dirs = _resample_for(f, comps + [C], quad)
     t = characteristic(f, grid, quad, dirs)
     rep.hypotheses["zero_order"] = _zero_order_hypothesis(t)
-    n_cas = _counting_series(C, grid, quad, dirs)
+    n_cas = counting(C, grid, quad, dirs)
     subsets = _admissible_subsets(hyperplanes, n)
     log_na = [math.log(np.linalg.norm(h.coeff_vector()))
               for h in hyperplanes]
@@ -272,8 +268,8 @@ def verify_hypersurface_smt(f: ProjectiveMap,
     dirs = _resample_for(f, comps + [Ctilde], quad)
     t = characteristic(f, grid, quad, dirs)
     rep.hypotheses["zero_order"] = _zero_order_hypothesis(t)
-    n_forms = [_counting_series(h, grid, quad, dirs) for h in comps]
-    n_cas = _counting_series(Ctilde, grid, quad, dirs)
+    n_forms = [counting(h, grid, quad, dirs) for h in comps]
+    n_cas = counting(Ctilde, grid, quad, dirs)
     coeff_exact = 1.0 / filt.delta
     coeff_asym = math.factorial(n + 1) / alpha ** (n + 1)
     rep.extra["coeff_exact"] = coeff_exact
@@ -492,15 +488,6 @@ def compose_qdiff(P: QDiffPolynomial, w: SliceFunction) -> SliceFunction:
         e[i] = 1
         coeffs.append((1.0 + 0j, tuple(e)))
     return CompositionSlice(coeffs, term_slices)
-
-
-def eval_qdiff_polynomial(P: QDiffPolynomial, w: SliceFunction,
-                          z: Optional[Sequence[complex]] = None):
-    """Symbolic composition (z=None) or numeric value at a point."""
-    comp = compose_qdiff(P, w)
-    if z is None:
-        return comp
-    return complex(np.exp(comp.log_value_at(np.asarray(z, dtype=complex))))
 
 
 @dataclass

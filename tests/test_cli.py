@@ -44,7 +44,12 @@ def test_nev_outputs_csv(tmp_path):
     code, out = run(["nev", "--fn", fn, "--grid", "10:100:2",
                      "--lines", "4", "--theta", "32"])
     assert code == 0
-    assert "r,m,N_zero,N_pole,T,err" in out
+    lines = out.strip().splitlines()
+    assert lines[0] == "r,m,N_zero,N_pole,T,err"
+    assert len(lines) == 3
+    for line in lines[1:]:
+        # plain numbers, not numpy reprs such as np.float64(10.0)
+        assert len([float(x) for x in line.split(",")]) == 6
 
 
 def test_nev_deterministic(tmp_path):
@@ -123,9 +128,12 @@ def test_verify_cartan_and_out_dir(tmp_path):
     code, out = run(["verify", "cartan", "--config", cfg, "--out", out_dir])
     assert code == 0
     assert os.path.exists(os.path.join(out_dir, "report.json"))
-    csv = open(os.path.join(out_dir, "rows.csv")).read()
-    assert csv.splitlines()[0] == "r,lhs,rhs,margin,err"
+    csv = open(os.path.join(out_dir, "rows.csv")).read().splitlines()
+    assert csv[0] == "r,lhs,rhs,margin,err"
     assert json.loads(out)["verdict"] is True
+    rows = [[float(x) for x in line.split(",")] for line in csv[1:]]
+    assert [r[0] for r in rows] == [10.0, 100.0, 1000.0]
+    assert all(len(r) == 5 for r in rows)
 
 
 def test_verify_hypothesis_failure_is_exit_2(tmp_path):

@@ -12,7 +12,9 @@ from nevlab.nevcore import (DirectionSet, QuadratureSpec, RadialGrid,
                             characteristic, characteristic_function, counting,
                             fit_slope, jensen_residual, order_estimate,
                             proximity, weil_value)
+from nevlab.funcspace import SliceFunction
 from nevlab.polynomials import Polynomial, RationalFunction
+from nevlab.slicing import LineView
 
 Z = Polynomial.variable(0, 1)
 QUAD = QuadratureSpec(n_lines=8, n_theta=128, seed=1)
@@ -122,3 +124,37 @@ def test_order_estimate_polynomial_growth():
     grid = RadialGrid.log_spaced(10.0, 1e4, 6)
     t = characteristic(f, grid, QUAD)
     assert order_estimate(t) < 0.3
+
+
+class _CountingView(LineView):
+    """u -> 1 + u/2, entire without closed zeros: counted through Jensen."""
+
+    has_closed_zeros = False
+
+    def __init__(self):
+        self.calls = 0
+
+    def log_values(self, u):
+        self.calls += 1
+        return np.log(1 + 0.5 * np.asarray(u, dtype=complex))
+
+
+class _CountingSlice(SliceFunction):
+    nvars = 2
+
+    def __init__(self):
+        self.views = []
+
+    def line_view(self, xi):
+        self.views.append(_CountingView())
+        return self.views[-1]
+
+
+def test_counting_evaluates_unit_circle_once_per_direction():
+    h = _CountingSlice()
+    quad = QuadratureSpec(n_lines=3, n_theta=64, seed=2)
+    grid = RadialGrid((10.0, 100.0, 1000.0))
+    samples = counting(h, grid, quad, DirectionSet.sample(2, quad))
+    assert [v.calls for v in h.views] == [len(grid.radii) + 1] * 3
+    for s in samples:  # one zero, at u = -2
+        assert abs(s.n_zero - math.log(s.r / 2)) < 1e-9

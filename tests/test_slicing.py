@@ -1,10 +1,16 @@
 """Log-domain line views and scaled determinant evaluation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from nevlab.slicing import (RationalLineView, _assignment_scale,
+from nevlab.funcspace import ProductEntireSlice, QPochhammerSpec
+from nevlab.polynomials import Polynomial
+from nevlab.rationals import GaussianRational
+from nevlab.slicing import (PochhammerLineView, RationalLineView,
+                            _assignment_scale, _nterms, _pochhammer_log,
                             _scaled_slogdet, _tropical_slogdet)
 
 
@@ -97,3 +103,116 @@ def test_rational_line_view_cancellation():
     assert sum(m for _, m in zeros) == 1
     assert abs(zeros[0][0] - 3.0) < 1e-8
     assert not poles
+
+
+# ---------------------------------------------------------------------------
+# chunked q-Pochhammer kernel against the per-factor loop it replaced
+# ---------------------------------------------------------------------------
+
+def pochhammer_log_reference(qbase, ell, tail=1e-15):
+    """(sum_k log(1 - ell * q^k), min_k |1 - ell * q^k|): one log per
+    factor, same term count, plus the factor nearest zero."""
+    q = complex(qbase)
+    ell = np.asarray(ell, dtype=complex)
+    n = _nterms(q, tail, float(np.max(np.abs(ell))))
+    out = np.zeros(ell.shape, dtype=complex)
+    nearest = np.full(ell.shape, np.inf)
+    qk = 1.0 + 0j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n):
+            out = out + np.log(1 - ell * qk)
+            nearest = np.minimum(nearest, np.abs(1 - ell * qk))
+            qk *= q
+    return out, nearest
+
+
+def assert_log_close(got, ref, nearest=None):
+    """Real parts to 1e-12 relative, imaginary parts mod 2*pi.  got reads
+    -inf where ref does, and otherwise only where a factor lies within
+    1e-280 of zero (nearest: the reference's smallest factor)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert not np.any(np.isnan(got.real) | np.isnan(got.imag))
+    inf = np.isneginf(got.real)
+    ref_inf = np.isneginf(ref.real)
+    assert np.all(inf[ref_inf])
+    allowed = ref_inf if nearest is None else ref_inf | (nearest < 1e-280)
+    assert np.all(allowed[inf])
+    g, r = got[~inf], ref[~inf]
+    assert np.all(np.abs(g.real - r.real)
+                  <= 1e-12 * np.maximum(1.0, np.abs(r.real)))
+    turn = np.remainder(g.imag - r.imag + np.pi, 2 * np.pi) - np.pi
+    assert np.all(np.abs(turn) <= 1e-9)
+
+
+fraction_bases = st.builds(
+    Fraction, st.integers(-19, 19).filter(bool), st.integers(20, 40))
+complex_bases = st.builds(
+    lambda m, t: complex(m * np.cos(t), m * np.sin(t)),
+    st.floats(0.05, 0.9), st.floats(0.0, 2 * np.pi))
+# |ell| from 1e-3 up to 1e150 (chunks must shorten to stay finite)
+ell_arrays = st.lists(
+    st.tuples(st.floats(-3.0, 150.0), st.floats(0.0, 2 * np.pi)),
+    min_size=1, max_size=12).map(
+    lambda pts: np.array([10.0 ** e * complex(math.cos(t), math.sin(t))
+                          for e, t in pts]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(fraction_bases, complex_bases), ell_arrays)
+def test_pochhammer_kernel_matches_per_factor_loop(qbase, ell):
+    assert_log_close(_pochhammer_log(qbase, ell, 1e-15),
+                     *pochhammer_log_reference(qbase, ell))
+
+
+@settings(max_examples=20, deadline=None)
+@given(complex_bases, ell_arrays)
+def test_pochhammer_kernel_keeps_shape(qbase, ell):
+    grid = np.stack([ell, 0.5 * ell])
+    got = _pochhammer_log(qbase, grid, 1e-15)
+    assert got.shape == grid.shape
+    assert_log_close(got, *pochhammer_log_reference(qbase, grid))
+    scalar = _pochhammer_log(qbase, ell[0], 1e-15)
+    assert scalar.shape == ()
+    assert_log_close(scalar, *pochhammer_log_reference(qbase, ell[0]))
+
+
+def test_pochhammer_kernel_exact_zero():
+    # ell * q^k = 1 exactly: 4 * (1/2)^2 and -4 * (i/2)^2
+    for qbase, root in ((Fraction(1, 2), 4.0), (0.5j, -4.0)):
+        ell = np.array([root, 3.0, root * 1e120, 0.0]) + 0j
+        got = _pochhammer_log(qbase, ell, 1e-15)
+        assert got.real[0] == -np.inf
+        assert np.all(np.isfinite(got[1:]))
+        assert_log_close(got, *pochhammer_log_reference(qbase, ell))
+    # 5e-324 from a zero: the chunk product leaves the normal range
+    assert _pochhammer_log(0.5, np.array([1 + 5e-324j]), 1e-15).real[0] \
+        == -np.inf
+    assert PochhammerLineView(0.5, 0.0, 4.0).identically_zero
+    assert not PochhammerLineView(0.5, 0.0, 3.0).identically_zero
+
+
+def test_pochhammer_kernel_fraction_base_equals_complex_base():
+    ell = np.array([0.3 + 2j, -70.0, 1e40j])
+    assert np.array_equal(_pochhammer_log(Fraction(3, 5), ell, 1e-15),
+                          _pochhammer_log(0.6 + 0j, ell, 1e-15))
+
+
+gauss = st.builds(GaussianRational,
+                  st.fractions(-5, 5, max_denominator=4),
+                  st.fractions(-5, 5, max_denominator=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(fraction_bases, complex_bases),
+       st.lists(gauss, min_size=3, max_size=3).filter(
+           lambda c: any(c[1:])),
+       st.lists(st.floats(-50, 50), min_size=4, max_size=4))
+def test_log_value_at_matches_line_view(qbase, coeffs, xs):
+    c0, c1, c2 = coeffs
+    ell = Polynomial(2, {(0, 0): c0, (1, 0): c1, (0, 1): c2})
+    h = ProductEntireSlice(QPochhammerSpec(qbase, ell))
+    z = np.array([complex(xs[0], xs[1]), complex(xs[2], xs[3])])
+    got = h.log_value_at(z)
+    assert isinstance(got, complex)
+    assert_log_close(got, h.line_view(z).log_values(np.array([1.0]))[0])
