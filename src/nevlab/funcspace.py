@@ -67,6 +67,14 @@ class SliceFunction:
 
 
 class RationalSlice(SliceFunction):
+    """An exact rational function num/den on C^m.
+
+    The view of each direction is built once and kept per instance (keyed
+    by the direction's bytes), so every functional, predicate and harness
+    term that restricts this slice to the same line shares one view and
+    its cached roots.
+    """
+
     def __init__(self, rf):
         if isinstance(rf, Polynomial):
             rf = RationalFunction(rf)
@@ -74,6 +82,7 @@ class RationalSlice(SliceFunction):
             raise UsageError("expected a rational function")
         self.rf = rf
         self.nvars = rf.nvars
+        self._views = {}
 
     def is_rational(self):
         return True
@@ -83,11 +92,15 @@ class RationalSlice(SliceFunction):
 
     def line_view(self, xi):
         xi = np.asarray(xi, dtype=complex)
-        num = self.rf.num.restrict_numeric(xi)
-        den = self.rf.den.restrict_numeric(xi)
-        if not np.any(den):
-            raise UsageError("denominator vanishes on this line")
-        return RationalLineView(num, den)
+        key = xi.tobytes()
+        view = self._views.get(key)
+        if view is None:
+            num = self.rf.num.restrict_numeric(xi)
+            den = self.rf.den.restrict_numeric(xi)
+            if not np.any(den):
+                raise UsageError("denominator vanishes on this line")
+            view = self._views[key] = RationalLineView(num, den)
+        return view
 
     def log_value_at(self, z):
         z = np.asarray(z, dtype=complex)

@@ -120,9 +120,11 @@ class DirectionSet:
 # circle quadrature
 # ---------------------------------------------------------------------------
 
-def _nodes(r: float, n_theta: int, offset: float = 0.0) -> np.ndarray:
+def _nodes(r, n_theta: int, offset: float = 0.0) -> np.ndarray:
+    """Quadrature nodes on the circle of radius r; for an array of radii,
+    the node tensor of shape r.shape + (n_theta,)."""
     th = (np.arange(n_theta) + offset) * (2 * np.pi / n_theta)
-    return r * np.exp(1j * th)
+    return np.multiply.outer(r, np.exp(1j * th))
 
 
 def _finite_mean(vals: np.ndarray, view: LineView, r: float,
@@ -255,16 +257,19 @@ def _max_log(vs: Sequence[LineView], u: np.ndarray) -> np.ndarray:
     return np.max(stack, axis=0)
 
 
-def _sphere_max_mean(vs, r: float, n_theta: int) -> Tuple[float, float]:
-    vals = _max_log(vs, _nodes(r, n_theta))
+def _sphere_max_mean(vs, radii: Sequence[float],
+                     n_theta: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per radius, the circle mean of max_j log|f_j| and its half-node
+    error estimate, from one evaluation of each view on the node tensor."""
+    vals = _max_log(vs, _nodes(radii, n_theta))
     if not np.all(np.isfinite(vals)):
-        vals2 = _max_log(vs, _nodes(r, n_theta, offset=0.5))
+        vals2 = _max_log(vs, _nodes(radii, n_theta, offset=0.5))
         vals = np.where(np.isfinite(vals), vals, vals2)
         if not np.all(np.isfinite(vals)):
             raise NumericError("max-log integrand not finite")
-    full = float(np.mean(vals))
-    half = float(np.mean(vals[::2]))
-    return full, abs(full - half)
+    full = np.mean(vals, axis=-1)
+    half = np.mean(vals[:, ::2], axis=-1)
+    return full, np.abs(full - half)
 
 
 def map_directions(f: ProjectiveMap, quad: QuadratureSpec) -> DirectionSet:
@@ -284,12 +289,12 @@ def characteristic(f: ProjectiveMap, grid: RadialGrid, quad: QuadratureSpec,
         dirs = map_directions(f, quad)
     views = _map_views(f, dirs)
     out = [NevSample(r) for r in grid.radii]
+    radii = (1.0,) + tuple(grid.radii)
     for vs, w in zip(views, dirs.weights):
-        base, ebase = _sphere_max_mean(vs, 1.0, quad.n_theta)
-        for s in out:
-            tr, er = _sphere_max_mean(vs, s.r, quad.n_theta)
-            s.t_val += w * (tr - base)
-            s.err += w * (er + ebase)
+        full, err = _sphere_max_mean(vs, radii, quad.n_theta)
+        for s, tr, er in zip(out, full[1:], err[1:]):
+            s.t_val += w * (tr - full[0])
+            s.err += w * (er + err[0])
     return out
 
 
@@ -349,17 +354,17 @@ def fmt_residual(f: ProjectiveMap, D, grid: RadialGrid, quad: QuadratureSpec,
     dviews = [df.line_view(xi) for xi in dirs.directions]
     d = D.degree
     out = [NevSample(r) for r in grid.radii]
+    radii = (1.0,) + tuple(grid.radii)
     for vs, dv, w in zip(views, dviews, dirs.weights):
-        base, ebase = _sphere_max_mean(vs, 1.0, quad.n_theta)
+        lmax, el = _sphere_max_mean(vs, radii, quad.n_theta)
         counts = _line_counts(dv, grid.radii, quad.n_theta)
-        for s, (nz, _, en) in zip(out, counts):
-            lmax, el = _sphere_max_mean(vs, s.r, quad.n_theta)
+        for i, (s, (nz, _, en)) in enumerate(zip(out, counts), 1):
             idf, ed = circle_mean_log(dv, s.r, quad.n_theta)
             # m_f(r,Q) = mean log(||f||^d / |D(f)|); T normalized at 1
-            mval = d * lmax - idf
-            tval = lmax - base
+            mval = d * lmax[i] - idf
+            tval = lmax[i] - lmax[0]
             s.m_val += w * (mval + nz - d * tval)
-            s.err += w * (el + ed + en + d * ebase)
+            s.err += w * (el[i] + ed + en + d * el[0])
     return out
 
 

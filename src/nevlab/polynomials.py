@@ -373,10 +373,10 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero():
         return a.monic()
-    used = _vars_used(a) | _vars_used(b)
-    if not used:
+    # a nonzero constant divides everything: the PRS below would reach 1
+    if a.is_constant() or b.is_constant():
         return Polynomial.constant(1, a.nvars)
-    v = min(used)
+    v = min(_vars_used(a) | _vars_used(b))
     sa, sb = _split_by_var(a, v), _split_by_var(b, v)
     ca, cb = _content(sa.values()), _content(sb.values())
     cg = poly_gcd(ca, cb)

@@ -146,13 +146,16 @@ class CasoratiSlice(SliceFunction):
         return DeterminantLineView(
             [[e.line_view(xi) for e in row] for row in self.matrix])
 
-    def log_value_at(self, z):
+    def _log_matrix(self, z) -> np.ndarray:
         n = len(self.matrix)
         logm = np.empty((n, n), dtype=complex)
         for i, row in enumerate(self.matrix):
             for j, e in enumerate(row):
                 logm[i, j] = e.log_value_at(z)
-        return complex(_scaled_slogdet(logm))
+        return logm
+
+    def log_value_at(self, z):
+        return complex(_scaled_slogdet(self._log_matrix(z)))
 
     def scale_q(self, factors):
         return CasoratiSlice(
@@ -160,11 +163,7 @@ class CasoratiSlice(SliceFunction):
 
     def scaled_sample(self, z) -> float:
         """|det| of the row-normalized matrix at a point (in [0, n^{n/2}])."""
-        n = len(self.matrix)
-        logm = np.empty((n, n), dtype=complex)
-        for i, row in enumerate(self.matrix):
-            for j, e in enumerate(row):
-                logm[i, j] = e.log_value_at(z)
+        logm = self._log_matrix(z)
         lv = _scaled_slogdet(logm)
         # magnitude relative to the largest single permutation term
         scale = _assignment_scale(logm)
@@ -221,22 +220,20 @@ class MonomialCasoratiSlice(SliceFunction):
         rows = [[c.line_view(xi) for c in row] for row in self._shifted]
         return MonomialDeterminantLineView(rows, self.monos)
 
-    def log_value_at(self, z):
+    def _log_matrix(self, z) -> np.ndarray:
         M = len(self.monos)
         emat = np.asarray(self.monos, dtype=float)
         logm = np.empty((M, M), dtype=complex)
         for k, row in enumerate(self._shifted):
             comp = np.array([c.log_value_at(z) for c in row])
             logm[k, :] = emat @ comp
-        return complex(_scaled_slogdet(logm))
+        return logm
+
+    def log_value_at(self, z):
+        return complex(_scaled_slogdet(self._log_matrix(z)))
 
     def scaled_sample(self, z) -> float:
-        M = len(self.monos)
-        emat = np.asarray(self.monos, dtype=float)
-        logm = np.empty((M, M), dtype=complex)
-        for k, row in enumerate(self._shifted):
-            comp = np.array([c.log_value_at(z) for c in row])
-            logm[k, :] = emat @ comp
+        logm = self._log_matrix(z)
         lv = _scaled_slogdet(logm)
         scale = _assignment_scale(logm)
         return 0.0 if lv.real == float("-inf") else \
@@ -282,8 +279,12 @@ def _sample_points(m: int, count: int, seed: int) -> np.ndarray:
     return pts * scales
 
 
-def _decide(det: SliceFunction, m: int, seed: int,
-            n_samples: int, threshold: float) -> NondegeneracyVerdict:
+def decide_nonzero(det: SliceFunction, m: int, seed: int = 7,
+                   n_samples: int = 8,
+                   threshold: float = 1e-10) -> NondegeneracyVerdict:
+    """Is a (monomial) Casoratian not identically zero?  Decided exactly
+    for a rational determinant, otherwise by scaled samples at seeded
+    points of C^m; all samples below the threshold is inconclusive."""
     if isinstance(det, RationalSlice):
         ok = not det.rf.is_zero()
         return NondegeneracyVerdict(ok, "symbolic",
@@ -306,16 +307,16 @@ def linear_nondegeneracy(f: ProjectiveMap, q: QShift, seed: int = 7,
                          threshold: float = 1e-10) -> NondegeneracyVerdict:
     """Is f linearly nondegenerate over the q-invariant field?  Decided by
     the Casoratian of the components."""
-    det = casorati(f.components, q)
-    return _decide(det, f.nvars, seed, n_samples, threshold)
+    return decide_nonzero(casorati(f.components, q), f.nvars, seed,
+                          n_samples, threshold)
 
 
 def algebraic_nondegeneracy(f: ProjectiveMap, alpha: int, q: QShift,
                             seed: int = 7, n_samples: int = 8,
                             threshold: float = 1e-10) -> NondegeneracyVerdict:
     """Degree-alpha analogue via the monomial Casoratian."""
-    det = casorati_monomials(f, alpha, q)
-    return _decide(det, f.nvars, seed, n_samples, threshold)
+    return decide_nonzero(casorati_monomials(f, alpha, q), f.nvars, seed,
+                          n_samples, threshold)
 
 
 def q_periodic_test(h: SliceFunction, q: QShift) -> bool:

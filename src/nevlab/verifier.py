@@ -27,9 +27,8 @@ from .nevcore import (DirectionSet, NevSample, QuadratureSpec, RadialGrid,
                       _nodes, characteristic, counting, fit_slope,
                       map_directions, order_estimate, proximity)
 from .polynomials import Polynomial, RationalFunction, try_divide
-from .qops import (QShift, algebraic_nondegeneracy, casorati,
-                   casorati_monomials, linear_nondegeneracy, q_periodic_test,
-                   qscale)
+from .qops import (QShift, casorati, casorati_monomials, decide_nonzero,
+                   q_periodic_test, qscale)
 
 ORDER_ZERO_THRESHOLD = 0.3
 TREND_FLOOR = -0.05
@@ -129,7 +128,7 @@ def verify_cartan_smt(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
         gp, "" if gp else f"failing subset {witness}")
     rep.hypotheses["diagonal_q"] = (q.diagonal, "")
     C = casorati(f.components, q)
-    nd = linear_nondegeneracy(f, q)
+    nd = decide_nonzero(C, f.nvars)
     rep.hypotheses["linear_nondegeneracy"] = (
         nd.nondegenerate, nd.note or nd.method)
     if nd.nondegenerate is not True:
@@ -191,7 +190,7 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
         gp, "" if gp else f"failing subset {witness}")
     rep.hypotheses["diagonal_q"] = (q.diagonal, "")
     C = casorati(f.components, q)
-    nd = linear_nondegeneracy(f, q)
+    nd = decide_nonzero(C, f.nvars)
     rep.hypotheses["linear_nondegeneracy"] = (
         nd.nondegenerate, nd.note or nd.method)
     if nd.nondegenerate is False:
@@ -206,24 +205,25 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
               for h in hyperplanes]
     rep.t_values = [s.t_val for s in t]
     lhs_vals = np.zeros(len(grid.radii))
+
+    def weil(cviews, hviews, u):
+        # (hyperplane, radius, theta) Weil values lambda_j
+        ln = _log_norm2(cviews, u)
+        return np.stack([ln + la - hv.log_abs(u)
+                         for la, hv in zip(log_na, hviews)])
+
     for xi, w in zip(dirs.directions, dirs.weights):
         cviews = [c.line_view(xi) for c in f.components]
         hviews = [c.line_view(xi) for c in comps]
-        for i, r in enumerate(grid.radii):
-            u = _nodes(r, quad.n_theta)
-            ln = _log_norm2(cviews, u)
-            lam = np.stack([ln + la - hv.log_abs(u)
-                            for la, hv in zip(log_na, hviews)])
-            if not np.all(np.isfinite(lam)):
-                u2 = _nodes(r, quad.n_theta, offset=0.5)
-                ln2 = _log_norm2(cviews, u2)
-                lam2 = np.stack([ln2 + la - hv.log_abs(u2)
-                                 for la, hv in zip(log_na, hviews)])
-                lam = np.where(np.isfinite(lam), lam, lam2)
-            best = np.max(
-                np.stack([np.sum(lam[list(K)], axis=0) for K in subsets]),
-                axis=0)
-            lhs_vals[i] += w * float(np.mean(best))
+        lam = weil(cviews, hviews, _nodes(grid.radii, quad.n_theta))
+        if not np.all(np.isfinite(lam)):
+            lam2 = weil(cviews, hviews, _nodes(
+                grid.radii, quad.n_theta, offset=0.5))
+            lam = np.where(np.isfinite(lam), lam, lam2)
+        best = np.max(
+            np.stack([np.sum(lam[list(K)], axis=0) for K in subsets]),
+            axis=0)
+        lhs_vals += w * np.mean(best, axis=-1)
     for i, s in enumerate(t):
         lhs = lhs_vals[i]
         rhs = (n + 1) * s.t_val - n_cas[i].n_zero
@@ -255,7 +255,8 @@ def verify_hypersurface_smt(f: ProjectiveMap,
     rep.hypotheses["general_position"] = (
         gp, "" if gp else f"failing subset {witness}")
     rep.hypotheses["diagonal_q"] = (q.diagonal, "")
-    nd = algebraic_nondegeneracy(f, alpha, q)
+    Ctilde = casorati_monomials(f, alpha, q)
+    nd = decide_nonzero(Ctilde, f.nvars)
     rep.hypotheses["algebraic_nondegeneracy"] = (
         nd.nondegenerate, nd.note or nd.method)
     if nd.nondegenerate is False:
@@ -263,7 +264,6 @@ def verify_hypersurface_smt(f: ProjectiveMap,
     gammas = lift_to_common_degree(list(forms[:n]))
     filt = filtration_report(gammas, alpha)
     rep.extra["filtration"] = filt
-    Ctilde = casorati_monomials(f, alpha, q)
     comps = [apply_form(g, f) for g in forms]
     dirs = _resample_for(f, comps + [Ctilde], quad)
     t = characteristic(f, grid, quad, dirs)

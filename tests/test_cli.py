@@ -200,3 +200,17 @@ def test_gallery_unknown_case():
 def test_no_command_is_usage_error():
     code, _ = run([])
     assert code == 1
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("theorem", ["cartan", "hsmt"])
+def test_verify_stdout_matches_golden(theorem):
+    # this map reaches only exact algebra and rational line views, so a
+    # change that keeps their arithmetic keeps every byte of the report
+    code, out = run(["verify", theorem, "--config",
+                     os.path.join(DATA, "golden_run.json")])
+    assert code == 0
+    with open(os.path.join(DATA, f"golden_verify_{theorem}.stdout")) as fh:
+        assert out == fh.read()

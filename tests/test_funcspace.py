@@ -31,6 +31,20 @@ def test_product_and_quotient_values():
     assert abs(np.exp((a / b).log_value_at(z)) - 3.0) < 1e-12
 
 
+def test_rational_line_view_kept_per_direction():
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    h = RationalSlice(RationalFunction(x * y + 1, x - y + 3))
+    xi = np.array([0.6, 0.8j])
+    view = h.line_view(xi)
+    assert h.line_view(xi.copy()) is view
+    assert h.line_view([0.6, 0.8j]) is view
+    other = h.line_view(np.array([0.8, 0.6j]))
+    assert other is not view
+    assert h.line_view(np.array([0.8, 0.6j])) is other
+    # views are per instance: an equal slice builds its own
+    assert RationalSlice(h.rf).line_view(xi) is not view
+
+
 def test_pochhammer_value():
     # (z; 1/2)_inf at z = 1/4: prod (1 - 2^-(k+2))
     h = ProductEntireSlice(QPochhammerSpec(Fraction(1, 2), Z))

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from nevlab.errors import UsageError
-from nevlab.funcspace import (ProjectiveMap, RationalSlice, constant_slice,
-                              HomogeneousForm)
-from nevlab.nevcore import (DirectionSet, QuadratureSpec, RadialGrid,
+from nevlab.funcspace import (ProductEntireSlice, ProductSlice,
+                              ProjectiveMap, QPochhammerSpec, RationalSlice,
+                              constant_slice, HomogeneousForm)
+from nevlab.nevcore import (DirectionSet, NevSample, QuadratureSpec,
+                            RadialGrid,
                             characteristic, characteristic_function, counting,
                             fit_slope, jensen_residual, order_estimate,
                             proximity, weil_value)
@@ -158,3 +160,73 @@ def test_counting_evaluates_unit_circle_once_per_direction():
     assert [v.calls for v in h.views] == [len(grid.radii) + 1] * 3
     for s in samples:  # one zero, at u = -2
         assert abs(s.n_zero - math.log(s.r / 2)) < 1e-9
+
+
+def _reference_characteristic(f, grid, quad, dirs):
+    """The per-radius loop that batched `characteristic` replaced: one
+    circle per evaluation, half-step retry on the non-finite nodes only.
+    Returns the samples and whether any retry ran."""
+    retried = False
+
+    def sphere(vs, r):
+        nonlocal retried
+
+        def max_log(offset):
+            th = (np.arange(quad.n_theta) + offset) * (2 * np.pi
+                                                       / quad.n_theta)
+            u = r * np.exp(1j * th)
+            return np.max([v.log_abs(u) for v in vs
+                           if not v.identically_zero], axis=0)
+
+        vals = max_log(0.0)
+        if not np.all(np.isfinite(vals)):
+            retried = True
+            vals = np.where(np.isfinite(vals), vals, max_log(0.5))
+        full = float(np.mean(vals))
+        return full, abs(full - float(np.mean(vals[::2])))
+
+    out = [NevSample(r) for r in grid.radii]
+    for xi, w in zip(dirs.directions, dirs.weights):
+        vs = [c.line_view(xi) for c in f.components]
+        base, ebase = sphere(vs, 1.0)
+        for s in out:
+            tr, er = sphere(vs, s.r)
+            s.t_val += w * (tr - base)
+            s.err += w * (er + ebase)
+    return out, retried
+
+
+def _pochhammer():
+    return ProductEntireSlice(QPochhammerSpec(0.5, Z))
+
+
+X2, Y2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+# (map, radii, whether a node of some circle is a common zero)
+BATCH_CASES = {
+    "rational_2d": (ProjectiveMap([
+        RationalSlice(X2 * Y2 + 1), RationalSlice(X2 - Y2.scale(2)),
+        RationalSlice(X2 * X2 + Y2)]), (10.0, 100.0, 1000.0), False),
+    # u = 10 is the theta = 0 node of the r = 10 circle
+    "rational_node_zero": (ProjectiveMap([
+        RationalSlice(Z - 10), RationalSlice(Z * Z - Z.scale(10))]),
+        (10.0, 100.0, 1000.0), True),
+    # the zeros 2^k of (u; 1/2)_inf lie on the nodes of r = 4, 16, 64
+    "product_node_zero": (ProjectiveMap([
+        _pochhammer(), ProductSlice([_pochhammer(), RationalSlice(Z)])]),
+        (4.0, 16.0, 64.0), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_characteristic_matches_per_radius_loop(case):
+    f, radii, node_zero = BATCH_CASES[case]
+    grid = RadialGrid(radii)
+    quad = QuadratureSpec(n_lines=3, n_theta=64, seed=5)
+    dirs = DirectionSet.sample(f.nvars, quad)
+    got = characteristic(f, grid, quad, dirs)
+    want, retried = _reference_characteristic(f, grid, quad, dirs)
+    assert retried == node_zero
+    for g, w in zip(got, want):
+        scale = max(abs(w.t_val), 1.0)
+        assert abs(g.t_val - w.t_val) <= 1e-12 * scale
+        assert abs(g.err - w.err) <= 1e-12 * scale

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nevlab.errors import UsageError
 from nevlab.polynomials import (Polynomial, RationalFunction, poly_gcd,
                                 try_divide)
-from nevlab.rationals import GaussianRational
+from nevlab.rationals import ONE, GaussianRational
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 coeffs = st.builds(GaussianRational, fracs, fracs)
@@ -81,6 +81,31 @@ def test_gcd_divides_and_coprime_quotients(ab):
     qa, qb = try_divide(a, g), try_divide(b, g)
     assert qa is not None and qb is not None
     assert poly_gcd(qa, qb).is_constant()
+
+
+nonzero_coeffs = coeffs.filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda m: st.tuples(nonzero(polys(m)), nonzero_coeffs)))
+def test_gcd_with_nonzero_constant_is_one(pc):
+    p, c = pc
+    one = Polynomial.constant(1, p.nvars)
+    cp = Polynomial.constant(c, p.nvars)
+    assert poly_gcd(p, cp) == one
+    assert poly_gcd(cp, p) == one
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda m: st.tuples(polys(m), nonzero_coeffs)))
+def test_rational_with_constant_denominator_is_scaled_numerator(pc):
+    p, c = pc
+    r = RationalFunction(p, Polynomial.constant(c, p.nvars))
+    assert r.num == p.scale(ONE / c)
+    assert r.den == Polynomial.constant(1, p.nvars)
+    assert r == RationalFunction(p.scale(ONE / c))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nevlab import qops, verifier
 from nevlab.errors import HypothesisFailure, UsageError
 from nevlab.funcspace import (HomogeneousForm, ProductEntireSlice,
                               ProjectiveMap, QPochhammerSpec, QuotientSlice,
@@ -97,6 +98,34 @@ def test_hypersurface_alpha_one_matches_cartan():
     assert not hrep.report_only
     for a, b in zip(rep.rows, hrep.rows):
         assert abs(a.margin - b.margin) <= 2 * (a.err + b.err) + 1e-9
+
+
+@pytest.mark.parametrize("harness", ["cartan", "hsmt", "hypersurface"])
+def test_harness_builds_casoratian_once(monkeypatch, harness):
+    # the nondegeneracy hypothesis is decided on the Casoratian the
+    # harness counts with, not on a second copy
+    builder = "casorati_monomials" if harness == "hypersurface" \
+        else "casorati"
+    original = getattr(qops, builder)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qops, builder, counted)
+    monkeypatch.setattr(verifier, builder, counted)
+    f, H = closed_form_inputs()
+    quad = QuadratureSpec(n_lines=1, n_theta=32, seed=6)
+    grid = RadialGrid((10.0, 100.0))
+    if harness == "cartan":
+        rep = verify_cartan_smt(f, H, Q2, grid, quad)
+    elif harness == "hsmt":
+        rep = verify_hsmt_weil(f, H, Q2, grid, quad)
+    else:
+        rep = verify_hypersurface_smt(f, H, Q2, 2, grid, quad)
+    assert not rep.report_only
+    assert len(calls) == 1
 
 
 def test_gundersen_residual_constant():
