@@ -3,7 +3,7 @@
 Commands: nev, casorati, nondegeneracy, filtration inspect, hilbert,
 verify <theorem>, picard, partition, gallery.  Exit codes: 0 completed,
 1 usage or schema error, 2 hypothesis failure (report-only result),
-3 hard numeric failure.  NEVLAB_THREADS caps gallery worker threads.
+3 hard numeric failure.
 Reports are byte-identical for identical config and seed.
 """
 

@@ -562,15 +562,6 @@ CASES: List[GalleryCase] = [
 _BY_NAME = {c.name: c for c in CASES}
 
 
-def worker_count() -> int:
-    """Worker cap from NEVLAB_THREADS (default 1)."""
-    raw = os.environ.get("NEVLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"NEVLAB_THREADS must be an integer, got {raw!r}")
-
-
 def run_case(name: str) -> Tuple[bool, str, str]:
     if name not in _BY_NAME:
         raise UsageError(f"unknown gallery case {name!r}; known: "
@@ -581,7 +572,7 @@ def run_case(name: str) -> Tuple[bool, str, str]:
 
 
 def run_all(names: Optional[List[str]] = None):
-    """Run the selected (or all) cases, honoring the worker cap.
+    """Run the selected (or all) cases, one after another.
 
     Returns a list of (name, ok, detail, tag) in declaration order.
     """
@@ -592,12 +583,4 @@ def run_all(names: Optional[List[str]] = None):
         selected = [_BY_NAME[n] for n in names]
     else:
         selected = list(CASES)
-    workers = worker_count()
-    if workers > 1 and len(selected) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda c: c.run(), selected))
-    else:
-        results = [c.run() for c in selected]
-    return [(c.name, ok, detail, c.tag)
-            for c, (ok, detail) in zip(selected, results)]
+    return [(c.name, *c.run(), c.tag) for c in selected]

@@ -11,7 +11,7 @@ poles inside the unit disk contribute mult * log r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,43 +127,33 @@ def _nodes(r, n_theta: int, offset: float = 0.0) -> np.ndarray:
     return np.multiply.outer(r, np.exp(1j * th))
 
 
-def _finite_mean(vals: np.ndarray, view: LineView, r: float,
-                 n_theta: int) -> float:
-    """Mean of log-integrand values; nodes that hit a zero/pole exactly are
-    re-evaluated half a step away (the singularity is integrable)."""
+ArrayFn = Callable[[np.ndarray], np.ndarray]
+
+
+def circle_mean_log(integrand: ArrayFn, radii, n_theta: int,
+                    reduce: Optional[ArrayFn] = None
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per radius, the circle mean of a log-integrand and its half-node
+    error estimate |mean - mean over the even nodes|.
+
+    `integrand` is evaluated once on the node tensor of `radii` (a scalar
+    radius gives scalar results); entries that are not finite, where a node
+    hits a zero or pole (the singularity is integrable), are replaced by the
+    values half a step away.  `reduce` then maps the values to the array
+    averaged over its last axis; it runs after the retry, because e.g.
+    max(-inf, 0) is finite and would hide a node on a zero.
+    """
+    vals = integrand(_nodes(radii, n_theta))
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        shifted = view.log_abs(_nodes(r, n_theta, offset=0.5))
-        vals = np.where(bad, shifted, vals)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
+        vals = np.where(bad, integrand(_nodes(radii, n_theta, offset=0.5)),
+                        vals)
+        if not np.all(np.isfinite(vals)):
             raise NumericError("integrand not finite on perturbed nodes")
-    return float(np.mean(vals))
-
-
-def circle_mean_log(view: LineView, r: float, n_theta: int) -> Tuple[float, float]:
-    """(mean of log|h| on the circle of radius r, half-node error estimate)."""
-    vals = view.log_abs(_nodes(r, n_theta))
-    full = _finite_mean(vals, view, r, n_theta)
-    half_vals = vals[::2]
-    if np.all(np.isfinite(half_vals)):
-        half = float(np.mean(half_vals))
-    else:
-        half = _finite_mean(half_vals, view, r, n_theta // 2)
-    return full, abs(full - half)
-
-
-def circle_mean_logplus(view: LineView, r: float,
-                        n_theta: int) -> Tuple[float, float]:
-    vals = view.log_abs(_nodes(r, n_theta))
-    vals = np.where(np.isfinite(vals), vals, view.log_abs(
-        _nodes(r, n_theta, offset=0.5)))
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("integrand not finite on perturbed nodes")
-    vp = np.maximum(vals, 0.0)
-    full = float(np.mean(vp))
-    half = float(np.mean(vp[::2]))
-    return full, abs(full - half)
+    if reduce is not None:
+        vals = reduce(vals)
+    full = np.mean(vals, axis=-1)
+    return full, np.abs(full - np.mean(vals[..., ::2], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +180,13 @@ def _line_counts(view: LineView, radii: Sequence[float],
         return [(_count_from_roots(view.zeros(r), r),
                  _count_from_roots(view.poles(r), r), 0.0) for r in radii]
     if view.is_entire:
-        i1, e1 = circle_mean_log(view, 1.0, n_theta)
+        # one circle per call: on all radii at once a determinant view holds
+        # a (nodes, M, M) log matrix, which at M = 28 raised peak memory of
+        # a hypersurface op by 11-14%
+        i1, e1 = circle_mean_log(view.log_abs, 1.0, n_theta)
         out = []
         for r in radii:
-            ir, er = circle_mean_log(view, r, n_theta)
+            ir, er = circle_mean_log(view.log_abs, r, n_theta)
             out.append((ir - i1, 0.0, er + e1))
         return out
     raise NumericError(
@@ -232,10 +225,11 @@ def proximity(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
     views = [h.line_view(xi) for xi in dirs.directions]
     out = [NevSample(r) for r in grid.radii]
     for v, w in zip(views, dirs.weights):
-        for s in out:
-            mv, err = circle_mean_logplus(v, s.r, quad.n_theta)
-            s.m_val += w * mv
-            s.err += w * err
+        mv, err = circle_mean_log(v.log_abs, grid.radii, quad.n_theta,
+                                  reduce=lambda a: np.maximum(a, 0.0))
+        for s, mr, er in zip(out, mv, err):
+            s.m_val += w * mr
+            s.err += w * er
     return out
 
 
@@ -257,21 +251,6 @@ def _max_log(vs: Sequence[LineView], u: np.ndarray) -> np.ndarray:
     return np.max(stack, axis=0)
 
 
-def _sphere_max_mean(vs, radii: Sequence[float],
-                     n_theta: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per radius, the circle mean of max_j log|f_j| and its half-node
-    error estimate, from one evaluation of each view on the node tensor."""
-    vals = _max_log(vs, _nodes(radii, n_theta))
-    if not np.all(np.isfinite(vals)):
-        vals2 = _max_log(vs, _nodes(radii, n_theta, offset=0.5))
-        vals = np.where(np.isfinite(vals), vals, vals2)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("max-log integrand not finite")
-    full = np.mean(vals, axis=-1)
-    half = np.mean(vals[:, ::2], axis=-1)
-    return full, np.abs(full - half)
-
-
 def map_directions(f: ProjectiveMap, quad: QuadratureSpec) -> DirectionSet:
     base = DirectionSet.sample(f.nvars, quad)
 
@@ -291,7 +270,8 @@ def characteristic(f: ProjectiveMap, grid: RadialGrid, quad: QuadratureSpec,
     out = [NevSample(r) for r in grid.radii]
     radii = (1.0,) + tuple(grid.radii)
     for vs, w in zip(views, dirs.weights):
-        full, err = _sphere_max_mean(vs, radii, quad.n_theta)
+        full, err = circle_mean_log(lambda u: _max_log(vs, u), radii,
+                                    quad.n_theta)
         for s, tr, er in zip(out, full[1:], err[1:]):
             s.t_val += w * (tr - full[0])
             s.err += w * (er + err[0])
@@ -326,16 +306,16 @@ def jensen_residual(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
         dirs = directions_for(h, quad)
     views = [h.line_view(xi) for xi in dirs.directions]
     out = [NevSample(r) for r in grid.radii]
+    radii = (1.0,) + tuple(grid.radii)
     for v, w in zip(views, dirs.weights):
         if not v.has_closed_zeros:
             raise UsageError("Jensen residual needs certified zero multisets")
-        i1, e1 = circle_mean_log(v, 1.0, quad.n_theta)
-        for s in out:
+        full, err = circle_mean_log(v.log_abs, radii, quad.n_theta)
+        for s, ir, er in zip(out, full[1:], err[1:]):
             nz = _count_from_roots(v.zeros(s.r), s.r)
             npole = _count_from_roots(v.poles(s.r), s.r)
-            ir, er = circle_mean_log(v, s.r, quad.n_theta)
-            s.m_val += w * ((nz - npole) - (ir - i1))
-            s.err += w * (er + e1)
+            s.m_val += w * ((nz - npole) - (ir - full[0]))
+            s.err += w * (er + err[0])
     return out
 
 
@@ -356,15 +336,16 @@ def fmt_residual(f: ProjectiveMap, D, grid: RadialGrid, quad: QuadratureSpec,
     out = [NevSample(r) for r in grid.radii]
     radii = (1.0,) + tuple(grid.radii)
     for vs, dv, w in zip(views, dviews, dirs.weights):
-        lmax, el = _sphere_max_mean(vs, radii, quad.n_theta)
+        lmax, el = circle_mean_log(lambda u: _max_log(vs, u), radii,
+                                   quad.n_theta)
+        idf, ed = circle_mean_log(dv.log_abs, grid.radii, quad.n_theta)
         counts = _line_counts(dv, grid.radii, quad.n_theta)
         for i, (s, (nz, _, en)) in enumerate(zip(out, counts), 1):
-            idf, ed = circle_mean_log(dv, s.r, quad.n_theta)
             # m_f(r,Q) = mean log(||f||^d / |D(f)|); T normalized at 1
-            mval = d * lmax[i] - idf
+            mval = d * lmax[i] - idf[i - 1]
             tval = lmax[i] - lmax[0]
             s.m_val += w * (mval + nz - d * tval)
-            s.err += w * (el[i] + ed + en + d * el[0])
+            s.err += w * (el[i] + ed[i - 1] + en + d * el[0])
     return out
 
 

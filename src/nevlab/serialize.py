@@ -39,17 +39,6 @@ def _frac(value, path: str) -> Fraction:
     _fail(path, f'expected an integer or a "p/q" string, got {value!r}')
 
 
-def rational_to_json(c: GaussianRational) -> dict:
-    return {"re": str(c.re), "im": str(c.im)}
-
-
-def rational_from_json(obj, path: str = "rational") -> GaussianRational:
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object with re/im")
-    return GaussianRational(_frac(obj.get("re", 0), path + ".re"),
-                            _frac(obj.get("im", 0), path + ".im"))
-
-
 # ---------------------------------------------------------------------------
 # polynomials and forms
 # ---------------------------------------------------------------------------
@@ -123,13 +112,6 @@ def _complex_pair(obj, path: str):
     if isinstance(re, Fraction) and isinstance(im, Fraction):
         return GaussianRational(re, im)
     return complex(float(re), float(im))
-
-
-def _pair_json(value):
-    if isinstance(value, GaussianRational):
-        return [str(value.re), str(value.im)]
-    value = complex(value)
-    return [value.real, value.imag]
 
 
 def product_entire_from_json(obj, path: str = "product") -> ProductEntireSlice:

@@ -239,21 +239,19 @@ class ProductLineView(LineView):
             out = out + v.log_values(u)
         return out
 
-    def zeros(self, r):
+    def _divisor(self, r):
         z: RootList = []
         p: RootList = []
         for v in self.views:
             z.extend(v.zeros(r))
             p.extend(v.poles(r))
-        return _cancel(z, p)[0]
+        return _cancel(z, p)
+
+    def zeros(self, r):
+        return self._divisor(r)[0]
 
     def poles(self, r):
-        z: RootList = []
-        p: RootList = []
-        for v in self.views:
-            z.extend(v.zeros(r))
-            p.extend(v.poles(r))
-        return _cancel(z, p)[1]
+        return self._divisor(r)[1]
 
 
 class QuotientLineView(LineView):

@@ -24,8 +24,8 @@ from .funcspace import (CompositionSlice, HomogeneousForm, ProjectiveMap,
                         check_general_position, constant_slice)
 from .filtration import filtration_report, lift_to_common_degree
 from .nevcore import (DirectionSet, NevSample, QuadratureSpec, RadialGrid,
-                      _nodes, characteristic, counting, fit_slope,
-                      map_directions, order_estimate, proximity)
+                      characteristic, circle_mean_log, counting,
+                      fit_slope, map_directions, order_estimate, proximity)
 from .polynomials import Polynomial, RationalFunction, try_divide
 from .qops import (QShift, casorati, casorati_monomials, decide_nonzero,
                    q_periodic_test, qscale)
@@ -212,18 +212,17 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
         return np.stack([ln + la - hv.log_abs(u)
                          for la, hv in zip(log_na, hviews)])
 
+    def best(lam):
+        return np.max(
+            np.stack([np.sum(lam[list(K)], axis=0) for K in subsets]),
+            axis=0)
+
     for xi, w in zip(dirs.directions, dirs.weights):
         cviews = [c.line_view(xi) for c in f.components]
         hviews = [c.line_view(xi) for c in comps]
-        lam = weil(cviews, hviews, _nodes(grid.radii, quad.n_theta))
-        if not np.all(np.isfinite(lam)):
-            lam2 = weil(cviews, hviews, _nodes(
-                grid.radii, quad.n_theta, offset=0.5))
-            lam = np.where(np.isfinite(lam), lam, lam2)
-        best = np.max(
-            np.stack([np.sum(lam[list(K)], axis=0) for K in subsets]),
-            axis=0)
-        lhs_vals += w * np.mean(best, axis=-1)
+        mean, _ = circle_mean_log(lambda u: weil(cviews, hviews, u),
+                                  grid.radii, quad.n_theta, reduce=best)
+        lhs_vals += w * mean
     for i, s in enumerate(t):
         lhs = lhs_vals[i]
         rhs = (n + 1) * s.t_val - n_cas[i].n_zero

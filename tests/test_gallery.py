@@ -1,9 +1,9 @@
-"""Gallery plumbing: case registry, selection, worker configuration."""
+"""Gallery plumbing: case registry and selection."""
 
 import pytest
 
 from nevlab.errors import UsageError
-from nevlab.gallery import CASES, run_all, run_case, worker_count
+from nevlab.gallery import CASES, run_all, run_case
 
 
 def test_case_names_unique_and_tagged():
@@ -28,10 +28,3 @@ def test_run_selected_cases():
 def test_unknown_name_rejected():
     with pytest.raises(UsageError):
         run_all(["no_such_case"])
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("NEVLAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("NEVLAB_THREADS", "0")
-    assert worker_count() == 1

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from nevlab.errors import UsageError
+from nevlab.errors import NumericError, UsageError
 from nevlab.funcspace import (ProductEntireSlice, ProductSlice,
                               ProjectiveMap, QPochhammerSpec, RationalSlice,
                               constant_slice, HomogeneousForm)
 from nevlab.nevcore import (DirectionSet, NevSample, QuadratureSpec,
-                            RadialGrid,
-                            characteristic, characteristic_function, counting,
+                            RadialGrid, characteristic,
+                            characteristic_function, circle_mean_log, counting,
                             fit_slope, jensen_residual, order_estimate,
                             proximity, weil_value)
 from nevlab.funcspace import SliceFunction
@@ -230,3 +230,157 @@ def test_batched_characteristic_matches_per_radius_loop(case):
         scale = max(abs(w.t_val), 1.0)
         assert abs(g.t_val - w.t_val) <= 1e-12 * scale
         assert abs(g.err - w.err) <= 1e-12 * scale
+
+
+def _circle(r, n_theta, offset):
+    th = (np.arange(n_theta) + offset) * (2 * np.pi / n_theta)
+    return r * np.exp(1j * th)
+
+
+class _OldCircleMeans:
+    """The per-radius circle means that one batched `circle_mean_log`
+    replaced: `mean_log` with its half rule (the N/2-node half retries its
+    own non-finite nodes half an N/2 step away) and `mean_logplus`.
+    Records whether any half-step retry ran."""
+
+    def __init__(self, n_theta):
+        self.n_theta = n_theta
+        self.retried = False
+
+    def _finite(self, view, vals, r, n_theta):
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            self.retried = True
+            vals = np.where(bad, view.log_abs(_circle(r, n_theta, 0.5)),
+                            vals)
+        assert np.all(np.isfinite(vals))
+        return vals
+
+    def mean_log(self, view, r):
+        n = self.n_theta
+        vals = view.log_abs(_circle(r, n, 0.0))
+        full = float(np.mean(self._finite(view, vals, r, n)))
+        half = float(np.mean(self._finite(view, vals[::2], r, n // 2)))
+        return full, abs(full - half)
+
+    def mean_logplus(self, view, r):
+        vals = view.log_abs(_circle(r, self.n_theta, 0.0))
+        vp = np.maximum(self._finite(view, vals, r, self.n_theta), 0.0)
+        full = float(np.mean(vp))
+        return full, abs(full - float(np.mean(vp[::2])))
+
+
+def _reference_proximity(h, grid, old, dirs):
+    out = [NevSample(r) for r in grid.radii]
+    for xi, w in zip(dirs.directions, dirs.weights):
+        v = h.line_view(xi)
+        for s in out:
+            mv, err = old.mean_logplus(v, s.r)
+            s.m_val += w * mv
+            s.err += w * err
+    return out
+
+
+def _reference_jensen_counting(h, grid, old, dirs):
+    out = [NevSample(r) for r in grid.radii]
+    for xi, w in zip(dirs.directions, dirs.weights):
+        v = h.line_view(xi)
+        i1, e1 = old.mean_log(v, 1.0)
+        for s in out:
+            ir, er = old.mean_log(v, s.r)
+            s.n_zero += w * (ir - i1)
+            s.err += w * (er + e1)
+    return out
+
+
+def _reference_jensen_residual(h, grid, old, dirs):
+    out = [NevSample(r) for r in grid.radii]
+    for xi, w in zip(dirs.directions, dirs.weights):
+        v = h.line_view(xi)
+        i1, e1 = old.mean_log(v, 1.0)
+        for s in out:
+            nz = sum(m * math.log(s.r / max(abs(a), 1.0))
+                     for a, m in v.zeros(s.r))
+            npole = sum(m * math.log(s.r / max(abs(a), 1.0))
+                        for a, m in v.poles(s.r))
+            ir, er = old.mean_log(v, s.r)
+            s.m_val += w * ((nz - npole) - (ir - i1))
+            s.err += w * (er + e1)
+    return out
+
+
+class _NodeZeroView(_CountingView):
+    """u -> 1 - u/10: the zero u = 10 is the theta = 0 node of r = 10."""
+
+    def log_values(self, u):
+        self.calls += 1
+        with np.errstate(divide="ignore"):
+            return np.log(1 - 0.1 * np.asarray(u, dtype=complex))
+
+
+class _NodeZeroSlice(_CountingSlice):
+    def line_view(self, xi):
+        self.views.append(_NodeZeroView())
+        return self.views[-1]
+
+
+# (slice, radii, whether a node of some circle is a zero or pole)
+SLICE_CASES = {
+    "rational_2d": (RationalSlice(RationalFunction(
+        X2 * Y2 + 1, X2 - Y2.scale(2))), (10.0, 100.0, 1000.0), False),
+    # the zero u = 10 and the pole u = 100 are theta = 0 nodes
+    "rational_node_zero": (RationalSlice(RationalFunction(
+        Z * Z - Z.scale(10), Z - 100)), (10.0, 100.0, 1000.0), True),
+    "product_node_zero": (ProductSlice([_pochhammer(), RationalSlice(Z)]),
+                          (4.0, 16.0, 64.0), True),
+}
+# entire stub slices without closed zeros: counted through Jensen
+JENSEN_CASES = {
+    "entire": (_CountingSlice(), (10.0, 100.0, 1000.0), False),
+    "entire_node_zero": (_NodeZeroSlice(), (10.0, 100.0, 1000.0), True),
+}
+FUNCTIONALS = {
+    "proximity": (proximity, _reference_proximity, "m_val", SLICE_CASES),
+    "counting": (counting, _reference_jensen_counting, "n_zero",
+                 JENSEN_CASES),
+    "jensen_residual": (jensen_residual, _reference_jensen_residual,
+                        "m_val", SLICE_CASES),
+}
+
+
+@pytest.mark.parametrize("name, case", [
+    (name, case) for name in sorted(FUNCTIONALS)
+    for case in sorted(FUNCTIONALS[name][3])])
+def test_batched_functional_matches_per_radius_loop(name, case):
+    functional, reference, attr, cases = FUNCTIONALS[name]
+    h, radii, node_zero = cases[case]
+    grid = RadialGrid(radii)
+    quad = QuadratureSpec(n_lines=3, n_theta=64, seed=5)
+    dirs = DirectionSet.sample(h.nvars, quad)
+    got = functional(h, grid, quad, dirs)
+    old = _OldCircleMeans(quad.n_theta)
+    want = reference(h, grid, old, dirs)
+    assert old.retried == node_zero
+    for g, w in zip(got, want):
+        scale = max(abs(getattr(w, attr)), 1.0)
+        assert abs(getattr(g, attr) - getattr(w, attr)) <= 1e-12 * scale
+        # on a node zero the Jensen half estimate now takes the even nodes
+        # of the retried N-node array, not its own N/2-node retry
+        if name == "proximity" or not node_zero:
+            assert abs(g.err - w.err) <= 1e-12 * scale
+        assert 0.0 <= g.err < math.inf
+
+
+def _singular_at_zero_angle(u):
+    # -inf on the theta = 0 node and, after the retry, on the node half a
+    # step away: both node sets hit the singular set
+    return np.where(np.abs(np.angle(u)) < 0.1, -np.inf, 0.0)
+
+
+@pytest.mark.parametrize("reduce", [None, lambda a: np.maximum(a, 0.0)],
+                         ids=["plain", "log_plus"])
+def test_circle_mean_log_raises_when_retry_stays_singular(reduce):
+    # reduce runs after the retry: max(-inf, 0) must not hide the node
+    with pytest.raises(NumericError):
+        circle_mean_log(_singular_at_zero_angle, (10.0, 100.0), 64,
+                        reduce=reduce)
