@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands: nev, casorati, nondegeneracy, filtration inspect, hilbert,
-verify <theorem>, picard, partition, gallery.  Exit codes: 0 completed,
+verify <theorem>, partition, gallery.  Exit codes: 0 completed,
 1 usage or schema error, 2 hypothesis failure (report-only result),
 3 hard numeric failure.
 Reports are byte-identical for identical config and seed.
@@ -232,40 +232,6 @@ def _cmd_verify(args) -> int:
                              f"verify {theorem}")
         return value
 
-    if theorem in ("cartan", "hsmt", "hypersurface", "gundersen"):
-        f = need("map", cfg.map)
-        forms = need("forms/hyperplanes", cfg.forms)
-        q = need("q", cfg.q)
-        if theorem == "cartan":
-            rep = verify_cartan_smt(f, forms, q, cfg.grid, cfg.quad)
-        elif theorem == "hsmt":
-            rep = verify_hsmt_weil(f, forms, q, cfg.grid, cfg.quad)
-        elif theorem == "hypersurface":
-            rep = verify_hypersurface_smt(f, forms, q, need("alpha", cfg.alpha),
-                                          cfg.grid, cfg.quad)
-        else:
-            samples = gundersen_hayman_identity(f, forms, q, cfg.grid,
-                                                cfg.quad)
-            spread = (max(s.m_val for s in samples)
-                      - min(s.m_val for s in samples))
-            report = {"theorem": "gundersen",
-                      "rows": [{"r": s.r, "residual": s.m_val, "err": s.err}
-                               for s in samples],
-                      "residual_spread": spread}
-            csv = ["r,residual,err"] + [_csv_row(s.r, s.m_val, s.err)
-                                        for s in samples]
-            _emit(report, args.out, csv)
-            return 0
-        _emit(_smt_report_dict(rep), args.out, _smt_csv(rep))
-        return 2 if rep.report_only else 0
-
-    if theorem == "picard":
-        rep = picard_check(need("map", cfg.map),
-                           need("hyperplanes", cfg.forms),
-                           need("q", cfg.q))
-        _emit(_jsonable(rep), args.out)
-        return 2 if rep.failed else 0
-
     if theorem == "clunie":
         U = S.qdiff_from_json(cfg.extra.get("U"), args.config + ":U")
         P = S.qdiff_from_json(cfg.extra.get("P"), args.config + ":P")
@@ -290,19 +256,33 @@ def _cmd_verify(args) -> int:
                      rep.t_values)])
         return 2 if rep.report_only else 0
 
-    raise UsageError(f"unknown theorem {theorem!r}")
-
-
-def _cmd_picard(args) -> int:
-    from . import serialize as S
-    from .verifier import picard_check
-    cfg = S.load_run_config(args.config)
-    if cfg.map is None or not cfg.forms or cfg.q is None:
-        raise UsageError(f"{args.config}: picard needs map, hyperplanes, "
-                         "and q")
-    rep = picard_check(cfg.map, cfg.forms, cfg.q)
-    _emit(_jsonable(rep), args.out)
-    return 2 if rep.failed else 0
+    f = need("map", cfg.map)
+    forms = need("forms/hyperplanes", cfg.forms)
+    q = need("q", cfg.q)
+    if theorem == "picard":
+        rep = picard_check(f, forms, q)
+        _emit(_jsonable(rep), args.out)
+        return 2 if rep.failed else 0
+    if theorem == "gundersen":
+        samples = gundersen_hayman_identity(f, forms, q, cfg.grid, cfg.quad)
+        spread = (max(s.m_val for s in samples)
+                  - min(s.m_val for s in samples))
+        report = {"theorem": "gundersen",
+                  "rows": [{"r": s.r, "residual": s.m_val, "err": s.err}
+                           for s in samples],
+                  "residual_spread": spread}
+        csv = ["r,residual,err"] + [_csv_row(s.r, s.m_val, s.err)
+                                    for s in samples]
+        _emit(report, args.out, csv)
+        return 0
+    if theorem == "hypersurface":
+        rep = verify_hypersurface_smt(f, forms, q, need("alpha", cfg.alpha),
+                                      cfg.grid, cfg.quad)
+    else:
+        harness = {"cartan": verify_cartan_smt, "hsmt": verify_hsmt_weil}
+        rep = harness[theorem](f, forms, q, cfg.grid, cfg.quad)
+    _emit(_smt_report_dict(rep), args.out, _smt_csv(rep))
+    return 2 if rep.report_only else 0
 
 
 def _cmd_partition(args) -> int:
@@ -409,11 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run.json")
     p.add_argument("--out", help="directory for report.json and rows.csv")
     p.set_defaults(fn_cmd=_cmd_verify)
-
-    p = sub.add_parser("picard", help="forward invariance and rigidity")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(fn_cmd=_cmd_picard)
 
     p = sub.add_parser("partition", help="partition components by q-ratio")
     p.add_argument("--components", required=True)

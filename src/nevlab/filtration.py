@@ -14,21 +14,13 @@ are integer identities and are checked as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NumericError, UsageError
 from .funcspace import HomogeneousForm, monomials_of_degree
 from .linalg import SparseEchelon
 from .polynomials import Polynomial
-
-
-@dataclass
-class TupleLex:
-    n: int
-    alpha: int
-    d: int
-    tuples: List[Tuple[int, ...]]
 
 
 @dataclass
@@ -61,7 +53,7 @@ class FiltrationReport:
     inv_delta_target: float      # d*(n+1)! / alpha^{n+1}
 
 
-def enumerate_tuples(n: int, alpha: int, d: int) -> TupleLex:
+def enumerate_tuples(n: int, alpha: int, d: int) -> List[Tuple[int, ...]]:
     """All n-tuples (i) of nonnegative integers with d*sigma(i) <= alpha,
     in ascending lex order."""
     if alpha < 0 or d < 1 or n < 1:
@@ -78,7 +70,7 @@ def enumerate_tuples(n: int, alpha: int, d: int) -> TupleLex:
 
     rec([], bound)
     out.sort()
-    return TupleLex(n, alpha, d, out)
+    return out
 
 
 def _common_degree(gammas: Sequence[HomogeneousForm]) -> int:
@@ -182,16 +174,16 @@ def build_filtration(gammas: Sequence[HomogeneousForm], alpha: int,
                 "the forms must cut out a zero-dimensional subvariety; "
                 f"Hilbert data: {hs.dims} ({hs.note})")
     gpolys = [g.to_polynomial() for g in gammas]
-    tl = enumerate_tuples(n, alpha, d)
+    tuples = enumerate_tuples(n, alpha, d)
     ech = SparseEchelon()
     dims = {}
-    for e in reversed(tl.tuples):
+    for e in reversed(tuples):
         for row in _level_generators(gpolys, e, alpha, d):
             ech.add(dict(row))
         dims[e] = ech.rank
     levels = []
-    for i, e in enumerate(tl.tuples):
-        nxt = tl.tuples[i + 1] if i + 1 < len(tl.tuples) else None
+    for i, e in enumerate(tuples):
+        nxt = tuples[i + 1] if i + 1 < len(tuples) else None
         q = dims[e] - (dims[nxt] if nxt else 0)
         levels.append(FiltrationLevel(e, dims[e], q))
     M = math.comb(alpha + n, n)

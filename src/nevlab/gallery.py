@@ -488,7 +488,6 @@ def _case_cli() -> Tuple[bool, str]:
             (["verify", "picard", "--config", fpicard], 0),
             (["verify", "clunie", "--config", fclunie], 2),
             (["verify", "tumura", "--config", ftumura], 2),
-            (["picard", "--config", fpicard], 0),
             (["partition", "--components", fcomponents, "--q", fq], 0),
             (["nev", "--fn", os.path.join(tmp, "missing.json")], 1),
         ]

@@ -13,18 +13,20 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NumericError, SizeError, UsageError
+from .errors import SizeError, UsageError
 from .funcspace import (CompositionSlice, ProjectiveMap, RationalSlice,
                         SliceFunction, monomials_of_degree)
-from .nevcore import (DirectionSet, NevSample, QuadratureSpec, RadialGrid,
-                      characteristic_function, counting, directions_for,
-                      order_estimate, proximity)
+from .nevcore import (QuadratureSpec, RadialGrid, characteristic_function,
+                      counting, directions_for, order_estimate, proximity)
 from .polynomials import Polynomial, RationalFunction
 from .rationals import GaussianRational
 from .slicing import DeterminantLineView, _assignment_scale, _scaled_slogdet
 
 
 MONOMIAL_CAP = 64
+N_SAMPLES = 8             # seeded points a sampled Casoratian is tried at
+SAMPLE_THRESHOLD = 1e-10  # scaled |det| below this counts as zero
+T_FLOOR = 1e-9            # T below this leaves the ldl ratio undefined
 
 ExactScalar = Union[int, Fraction, GaussianRational]
 
@@ -240,16 +242,16 @@ class MonomialCasoratiSlice(SliceFunction):
             float(np.exp(min(lv.real - scale, 200.0)))
 
 
-def casorati_monomials(f: ProjectiveMap, alpha: int, q: QShift,
-                       cap: int = MONOMIAL_CAP) -> SliceFunction:
+def casorati_monomials(f: ProjectiveMap, alpha: int,
+                       q: QShift) -> SliceFunction:
     """Generalized Casoratian on all degree-alpha monomials in the
     components, enumerated in lex order."""
     n1 = f.n + 1
     M = math.comb(alpha + f.n, f.n)
-    if M > cap:
+    if M > MONOMIAL_CAP:
         raise SizeError(
-            f"monomial Casoratian needs M={M} columns; cap is {cap} "
-            f"(lower alpha or raise the cap)")
+            f"monomial Casoratian needs M={M} columns; cap is "
+            f"{MONOMIAL_CAP} (lower alpha)")
     monos = monomials_of_degree(n1, alpha)
     if all(c.is_rational() for c in f.components) and q.exact:
         cols = [monomial_slice(f, e) for e in monos]
@@ -279,9 +281,8 @@ def _sample_points(m: int, count: int, seed: int) -> np.ndarray:
     return pts * scales
 
 
-def decide_nonzero(det: SliceFunction, m: int, seed: int = 7,
-                   n_samples: int = 8,
-                   threshold: float = 1e-10) -> NondegeneracyVerdict:
+def decide_nonzero(det: SliceFunction, m: int,
+                   seed: int = 7) -> NondegeneracyVerdict:
     """Is a (monomial) Casoratian not identically zero?  Decided exactly
     for a rational determinant, otherwise by scaled samples at seeded
     points of C^m; all samples below the threshold is inconclusive."""
@@ -291,32 +292,29 @@ def decide_nonzero(det: SliceFunction, m: int, seed: int = 7,
                                     "determinant computed exactly")
     if not hasattr(det, "scaled_sample"):
         raise UsageError("cannot sample this determinant representation")
-    vals = [det.scaled_sample(z) for z in _sample_points(m, n_samples, seed)]
-    if any(v > threshold for v in vals):
-        return NondegeneracyVerdict(True, "sampling",
-                                    f"nonzero at {sum(v > threshold for v in vals)}"
+    vals = [det.scaled_sample(z)
+            for z in _sample_points(m, N_SAMPLES, seed)]
+    nonzero = sum(v > SAMPLE_THRESHOLD for v in vals)
+    if nonzero:
+        return NondegeneracyVerdict(True, "sampling", f"nonzero at {nonzero}"
                                     f"/{len(vals)} sample points", vals)
     return NondegeneracyVerdict(
         None, "sampling",
         f"likely degenerate: all {len(vals)} scaled samples below "
-        f"{threshold}; not a proof", vals)
+        f"{SAMPLE_THRESHOLD}; not a proof", vals)
 
 
-def linear_nondegeneracy(f: ProjectiveMap, q: QShift, seed: int = 7,
-                         n_samples: int = 8,
-                         threshold: float = 1e-10) -> NondegeneracyVerdict:
+def linear_nondegeneracy(f: ProjectiveMap, q: QShift,
+                         seed: int = 7) -> NondegeneracyVerdict:
     """Is f linearly nondegenerate over the q-invariant field?  Decided by
     the Casoratian of the components."""
-    return decide_nonzero(casorati(f.components, q), f.nvars, seed,
-                          n_samples, threshold)
+    return decide_nonzero(casorati(f.components, q), f.nvars, seed)
 
 
 def algebraic_nondegeneracy(f: ProjectiveMap, alpha: int, q: QShift,
-                            seed: int = 7, n_samples: int = 8,
-                            threshold: float = 1e-10) -> NondegeneracyVerdict:
+                            seed: int = 7) -> NondegeneracyVerdict:
     """Degree-alpha analogue via the monomial Casoratian."""
-    return decide_nonzero(casorati_monomials(f, alpha, q), f.nvars, seed,
-                          n_samples, threshold)
+    return decide_nonzero(casorati_monomials(f, alpha, q), f.nvars, seed)
 
 
 def q_periodic_test(h: SliceFunction, q: QShift) -> bool:
@@ -346,47 +344,38 @@ class RatioSeries:
 
 
 def ldl_ratio(h: SliceFunction, q: QShift, grid: RadialGrid,
-              quad: QuadratureSpec, allow_general_q: bool = False,
-              t_floor: float = 1e-9) -> RatioSeries:
+              quad: QuadratureSpec) -> RatioSeries:
     """m(r, h(qz)/h(z)) / T(r, h) per radius; expected to decay for
     zero-order h under a diagonal rescaling."""
-    if not q.diagonal and not allow_general_q:
+    if not q.diagonal:
         raise UsageError("the logarithmic-difference estimate is only "
-                         "backed for diagonal q; pass allow_general_q=True "
-                         "to run an exploratory, unguaranteed check")
+                         "backed for diagonal q")
     g = qscale(h, q, 1) / h
     dirs = directions_for(h, quad)
     dirs = dirs.resample_against(
         lambda xi: g.line_view(xi).identically_zero, quad)
     t = characteristic_function(h, grid, quad, dirs)
-    if max(s.t_val for s in t) < t_floor:
+    if max(s.t_val for s in t) < T_FLOOR:
         raise UsageError("T below floor: the ratio is undefined for "
                          "constant-growth input")
     mg = proximity(g, grid, quad, dirs)
-    ratios = [sm.m_val / st.t_val if st.t_val > t_floor else math.inf
+    ratios = [sm.m_val / st.t_val if st.t_val > T_FLOOR else math.inf
               for sm, st in zip(mg, t)]
-    note = "exploratory: non-diagonal q" if not q.diagonal else ""
     zeta = order_estimate(t) if len(t) >= 4 else math.nan
-    return RatioSeries([s.r for s in t], ratios, [s.t_val for s in t],
-                       zeta, note)
+    return RatioSeries([s.r for s in t], ratios, [s.t_val for s in t], zeta)
 
 
 def shift_counting_ratio(h: SliceFunction, q: QShift, grid: RadialGrid,
-                         quad: QuadratureSpec,
-                         use_zeros: bool = False) -> RatioSeries:
-    """N(r, h(qz)) / N(r, h) per radius (pole counting; set use_zeros to
-    count zeros instead)."""
+                         quad: QuadratureSpec) -> RatioSeries:
+    """N(r, h(qz)) / N(r, h) per radius, counting poles."""
     hq = qscale(h, q, 1)
     dirs = directions_for(h, quad)
     dirs = dirs.resample_against(
         lambda xi: hq.line_view(xi).identically_zero, quad)
     na = counting(hq, grid, quad, dirs)
     nb = counting(h, grid, quad, dirs)
-    pick = (lambda s: s.n_zero) if use_zeros else (lambda s: s.n_pole)
-    ratios = []
-    for sa, sb in zip(na, nb):
-        den = pick(sb)
-        ratios.append(pick(sa) / den if den > 0 else math.nan)
+    ratios = [sa.n_pole / sb.n_pole if sb.n_pole > 0 else math.nan
+              for sa, sb in zip(na, nb)]
     t = characteristic_function(h, grid, quad, dirs)
     note = "" if all(math.isfinite(x) for x in ratios) else \
         "zero denominator at some radii"

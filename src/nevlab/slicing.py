@@ -306,7 +306,9 @@ class FormCompositionLineView(LineView):
             t = np.full(u.shape, np.log(complex(c)) if c else complex("-inf"))
             for lv, e in zip(logs, exps):
                 if e:
-                    t = t + e * lv
+                    # by parts: a complex product turns log 0 = -inf into NaN
+                    t.real += e * lv.real
+                    t.imag += e * lv.imag
             term_logs.append(t)
         stack = np.stack(term_logs)
         shift = np.max(stack.real, axis=0)

@@ -32,6 +32,8 @@ from .qops import (QShift, casorati, casorati_monomials, decide_nonzero,
 
 ORDER_ZERO_THRESHOLD = 0.3
 TREND_FLOOR = -0.05
+MARGIN_FLOOR = -0.1
+TUMURA_FLOOR = 0.01
 
 
 @dataclass
@@ -73,7 +75,7 @@ class SmtReport:
         slope = fit_slope([x for x, _ in pts], [y for _, y in pts])
         return slope, slope >= floor
 
-    def verdict(self, margin_floor: float = -0.1) -> Optional[bool]:
+    def verdict(self) -> Optional[bool]:
         """None in report-only mode; otherwise the inequality check."""
         if self.report_only:
             return None
@@ -82,7 +84,7 @@ class SmtReport:
             spread = max(ms) - min(ms)
             tol = 0.2 + 10 * max(row.err for row in self.rows)
             return spread <= tol and self.margin_trend()[1]
-        ok = all(row.margin >= margin_floor - 10 * row.err
+        ok = all(row.margin >= MARGIN_FLOOR - 10 * row.err
                  for row in self.rows)
         return ok and self.margin_trend()[1]
 
@@ -110,6 +112,62 @@ def _resample_for(f: ProjectiveMap, extras: Sequence[SliceFunction],
     return base.resample_against(bad, quad)
 
 
+def _smt_setup(rep, f, forms, q, alpha: Optional[int], quad):
+    """Record the shared hypotheses: general position, diagonal q, and a
+    Casoratian C not identically zero (on the components, or on the
+    degree-alpha monomials when alpha is given).  None when C == 0;
+    otherwise C, the slices D_j(f) and one direction set for all of them."""
+    gp, witness = check_general_position(forms, f.n)
+    rep.hypotheses["general_position"] = (
+        gp, "" if gp else f"failing subset {witness}")
+    rep.hypotheses["diagonal_q"] = (q.diagonal, "")
+    if alpha is None:
+        C, key = casorati(f.components, q), "linear_nondegeneracy"
+    else:
+        C, key = casorati_monomials(f, alpha, q), "algebraic_nondegeneracy"
+    nd = decide_nonzero(C, f.nvars)
+    rep.hypotheses[key] = (nd.nondegenerate, nd.note)
+    if nd.nondegenerate is False:
+        return None
+    comps = [apply_form(g, f) for g in forms]
+    return C, comps, _resample_for(f, comps + [C], quad)
+
+
+def _characteristic(rep, f, grid, quad, dirs) -> List[NevSample]:
+    """T_f(r) on the shared directions, with its zero-order hypothesis."""
+    t = characteristic(f, grid, quad, dirs)
+    rep.hypotheses["zero_order"] = _zero_order_hypothesis(t)
+    rep.t_values = [s.t_val for s in t]
+    return t
+
+
+def _n_sums(comps, degrees, C, grid, quad, dirs):
+    """Per radius: sum_j N(r, 1/D_j(f))/d_j, the sum of its errors, and the
+    N(r, 1/C(f)) sample."""
+    n_forms = [counting(h, grid, quad, dirs) for h in comps]
+    n_cas = counting(C, grid, quad, dirs)
+    return [(sum(nf[i].n_zero / d for nf, d in zip(n_forms, degrees)),
+             sum(nf[i].err for nf in n_forms), nc)
+            for i, nc in enumerate(n_cas)]
+
+
+def _counting_rows(rep, f, forms, setup, grid, quad,
+                   coeffs) -> List[List[SmtRow]]:
+    """Rows of (p-n-1) T_f(r) <= sum_j N(r, 1/D_j(f))/d_j - c N(r, 1/C(f)),
+    one row list per coefficient c."""
+    C, comps, dirs = setup
+    t = _characteristic(rep, f, grid, quad, dirs)
+    sums = _n_sums(comps, [g.degree for g in forms], C, grid, quad, dirs)
+    k = len(forms) - f.n - 1
+
+    def row(s, nsum, nerr, nc, c):
+        lhs = k * s.t_val
+        rhs = nsum - c * nc.n_zero
+        return SmtRow(s.r, lhs, rhs, rhs - lhs, s.err + nerr + nc.err)
+
+    return [[row(s, *ns, c) for s, ns in zip(t, sums)] for c in coeffs]
+
+
 # ---------------------------------------------------------------------------
 # Cartan-type second main theorem (hyperplanes)
 # ---------------------------------------------------------------------------
@@ -118,38 +176,13 @@ def verify_cartan_smt(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
                       q: QShift, grid: RadialGrid,
                       quad: QuadratureSpec) -> SmtReport:
     """(p-n-1) T_f(r)  <=  sum_j N(r, 1/H_j(f)) - N(r, 1/C(f)) + o(T_f(r))."""
-    rep = SmtReport("cartan_smt")
-    n = f.n
-    p = len(hyperplanes)
     if any(h.degree != 1 for h in hyperplanes):
         raise UsageError("this harness takes hyperplanes (degree 1)")
-    gp, witness = check_general_position(hyperplanes, n)
-    rep.hypotheses["general_position"] = (
-        gp, "" if gp else f"failing subset {witness}")
-    rep.hypotheses["diagonal_q"] = (q.diagonal, "")
-    C = casorati(f.components, q)
-    nd = decide_nonzero(C, f.nvars)
-    rep.hypotheses["linear_nondegeneracy"] = (
-        nd.nondegenerate, nd.note or nd.method)
-    if nd.nondegenerate is not True:
-        rep.hypotheses["linear_nondegeneracy"] = (
-            nd.nondegenerate if nd.nondegenerate is not None else None,
-            "Casoratian identically zero" if nd.nondegenerate is False
-            else nd.note)
-        if nd.nondegenerate is False:
-            return rep
-    comps = [apply_form(h, f) for h in hyperplanes]
-    dirs = _resample_for(f, comps + [C], quad)
-    t = characteristic(f, grid, quad, dirs)
-    rep.hypotheses["zero_order"] = _zero_order_hypothesis(t)
-    n_forms = [counting(h, grid, quad, dirs) for h in comps]
-    n_cas = counting(C, grid, quad, dirs)
-    rep.t_values = [s.t_val for s in t]
-    for i, s in enumerate(t):
-        lhs = (p - n - 1) * s.t_val
-        rhs = sum(nf[i].n_zero for nf in n_forms) - n_cas[i].n_zero
-        err = s.err + sum(nf[i].err for nf in n_forms) + n_cas[i].err
-        rep.rows.append(SmtRow(s.r, lhs, rhs, rhs - lhs, err))
+    rep = SmtReport("cartan_smt")
+    setup = _smt_setup(rep, f, hyperplanes, q, None, quad)
+    if setup is not None:
+        rep.rows = _counting_rows(rep, f, hyperplanes, setup, grid, quad,
+                                  [1.0])[0]
     return rep
 
 
@@ -184,26 +217,16 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
     """Sphere average of the max summed Weil values against
     (n+1) T_f(r) - N(r, 1/C(f))."""
     rep = SmtReport("hsmt_weil", margin_mode="bounded")
-    n = f.n
-    gp, witness = check_general_position(hyperplanes, n)
-    rep.hypotheses["general_position"] = (
-        gp, "" if gp else f"failing subset {witness}")
-    rep.hypotheses["diagonal_q"] = (q.diagonal, "")
-    C = casorati(f.components, q)
-    nd = decide_nonzero(C, f.nvars)
-    rep.hypotheses["linear_nondegeneracy"] = (
-        nd.nondegenerate, nd.note or nd.method)
-    if nd.nondegenerate is False:
+    setup = _smt_setup(rep, f, hyperplanes, q, None, quad)
+    if setup is None:
         return rep
-    comps = [apply_form(h, f) for h in hyperplanes]
-    dirs = _resample_for(f, comps + [C], quad)
-    t = characteristic(f, grid, quad, dirs)
-    rep.hypotheses["zero_order"] = _zero_order_hypothesis(t)
+    C, comps, dirs = setup
+    n = f.n
+    t = _characteristic(rep, f, grid, quad, dirs)
     n_cas = counting(C, grid, quad, dirs)
     subsets = _admissible_subsets(hyperplanes, n)
     log_na = [math.log(np.linalg.norm(h.coeff_vector()))
               for h in hyperplanes]
-    rep.t_values = [s.t_val for s in t]
     lhs_vals = np.zeros(len(grid.radii))
 
     def weil(cviews, hviews, u):
@@ -223,11 +246,9 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
         mean, _ = circle_mean_log(lambda u: weil(cviews, hviews, u),
                                   grid.radii, quad.n_theta, reduce=best)
         lhs_vals += w * mean
-    for i, s in enumerate(t):
-        lhs = lhs_vals[i]
-        rhs = (n + 1) * s.t_val - n_cas[i].n_zero
-        err = s.err + n_cas[i].err
-        rep.rows.append(SmtRow(s.r, lhs, rhs, rhs - lhs, err))
+    for s, nc, lhs in zip(t, n_cas, lhs_vals):
+        rhs = (n + 1) * s.t_val - nc.n_zero
+        rep.rows.append(SmtRow(s.r, lhs, rhs, rhs - lhs, s.err + nc.err))
     return rep
 
 
@@ -246,46 +267,19 @@ def verify_hypersurface_smt(f: ProjectiveMap,
     """
     rep = SmtReport("hypersurface_smt")
     n = f.n
-    p = len(forms)
     d = math.lcm(*[g.degree for g in forms])
     rep.hypotheses["alpha_divisible"] = (
         alpha % d == 0, f"alpha={alpha}, lcm(d_j)={d}")
-    gp, witness = check_general_position(forms, n)
-    rep.hypotheses["general_position"] = (
-        gp, "" if gp else f"failing subset {witness}")
-    rep.hypotheses["diagonal_q"] = (q.diagonal, "")
-    Ctilde = casorati_monomials(f, alpha, q)
-    nd = decide_nonzero(Ctilde, f.nvars)
-    rep.hypotheses["algebraic_nondegeneracy"] = (
-        nd.nondegenerate, nd.note or nd.method)
-    if nd.nondegenerate is False:
+    setup = _smt_setup(rep, f, forms, q, alpha, quad)
+    if setup is None:
         return rep
-    gammas = lift_to_common_degree(list(forms[:n]))
-    filt = filtration_report(gammas, alpha)
-    rep.extra["filtration"] = filt
-    comps = [apply_form(g, f) for g in forms]
-    dirs = _resample_for(f, comps + [Ctilde], quad)
-    t = characteristic(f, grid, quad, dirs)
-    rep.hypotheses["zero_order"] = _zero_order_hypothesis(t)
-    n_forms = [counting(h, grid, quad, dirs) for h in comps]
-    n_cas = counting(Ctilde, grid, quad, dirs)
+    filt = filtration_report(lift_to_common_degree(list(forms[:n])), alpha)
     coeff_exact = 1.0 / filt.delta
     coeff_asym = math.factorial(n + 1) / alpha ** (n + 1)
-    rep.extra["coeff_exact"] = coeff_exact
-    rep.extra["coeff_asymptotic"] = coeff_asym
-    rep.t_values = [s.t_val for s in t]
-    asym_rows = []
-    for i, s in enumerate(t):
-        lhs = (p - n - 1) * s.t_val
-        nsum = sum(nf[i].n_zero / g.degree
-                   for nf, g in zip(n_forms, forms))
-        err = s.err + sum(nf[i].err for nf, g in zip(n_forms, forms)) \
-            + n_cas[i].err
-        rhs = nsum - coeff_exact * n_cas[i].n_zero
-        rep.rows.append(SmtRow(s.r, lhs, rhs, rhs - lhs, err))
-        rhs_p = nsum - coeff_asym * n_cas[i].n_zero
-        asym_rows.append(SmtRow(s.r, lhs, rhs_p, rhs_p - lhs, err))
-    rep.extra["asymptotic_rows"] = asym_rows
+    rep.extra.update(filtration=filt, coeff_exact=coeff_exact,
+                     coeff_asymptotic=coeff_asym)
+    rep.rows, rep.extra["asymptotic_rows"] = _counting_rows(
+        rep, f, forms, setup, grid, quad, [coeff_exact, coeff_asym])
     return rep
 
 
@@ -310,15 +304,11 @@ def gundersen_hayman_identity(f: ProjectiveMap,
     L = L / C
     dirs = _resample_for(f, comps + [C], quad)
     nl = counting(L, grid, quad, dirs)
-    n_forms = [counting(c, grid, quad, dirs) for c in comps]
-    n_cas = counting(C, grid, quad, dirs)
-    out = []
-    for i, r in enumerate(grid.radii):
-        lhs = nl[i].n_zero - nl[i].n_pole
-        rhs = sum(nf[i].n_zero for nf in n_forms) - n_cas[i].n_zero
-        err = nl[i].err + sum(nf[i].err for nf in n_forms) + n_cas[i].err
-        out.append(NevSample(r, m_val=lhs - rhs, err=err))
-    return out
+    # L is the plain product, so each H_j(f) counts once whatever its degree
+    sums = _n_sums(comps, [1] * len(comps), C, grid, quad, dirs)
+    return [NevSample(r, m_val=s.n_zero - s.n_pole - (nsum - nc.n_zero),
+                      err=s.err + nerr + nc.err)
+            for r, s, (nsum, nerr, nc) in zip(grid.radii, nl, sums)]
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +493,13 @@ class ClunieReport:
         return not (self.structure_ok and self.identity_ok)
 
 
-def _identity_holds(U, P, Q, w, seed: int = 11) -> Tuple[bool, str]:
+def _identity_holds(U, P, Q, w) -> Tuple[bool, str]:
     up = compose_qdiff(U, w) * compose_qdiff(P, w)
     qq = compose_qdiff(Q, w)
     if up.is_rational() and qq.is_rational():
         ok = up.rf == qq.rf
         return ok, "symbolic identity check"
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     pts = rng.standard_normal((8, w.nvars)) + \
         1j * rng.standard_normal((8, w.nvars))
     worst = 0.0
@@ -588,8 +578,8 @@ class TumuraReport:
 
 
 def tumura_clunie_ratio(G: QDiffPolynomial, f: SliceFunction,
-                        grid: RadialGrid, quad: QuadratureSpec,
-                        floor: float = 0.01) -> TumuraReport:
+                        grid: RadialGrid,
+                        quad: QuadratureSpec) -> TumuraReport:
     """Ratio N(r, 1/G(., f)) / T_f(r), predicted to stay away from 0 when
     N(r, 1/f) + N(r, f) = o(T_f(r)).  The hypothesis is tested as a decay
     trend on the grid; when it fails the report carries no verdict."""
@@ -620,4 +610,4 @@ def tumura_clunie_ratio(G: QDiffPolynomial, f: SliceFunction,
     ratios = [s.n_zero / st.t_val if st.t_val > 1e-9 else math.inf
               for s, st in zip(ng, t)]
     return TumuraReport(list(grid.radii), ratios, hyp, hyp_ok,
-                        [s.t_val for s in t], floor, notes)
+                        [s.t_val for s in t], TUMURA_FLOOR, notes)

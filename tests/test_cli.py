@@ -172,7 +172,7 @@ def test_picard_command(tmp_path):
                                        "im": "0"}]}],
            "q": {"q": [["2", "0"], ["2", "0"]]}}
     p = write(tmp_path, "p.json", cfg)
-    code, out = run(["picard", "--config", p])
+    code, out = run(["verify", "picard", "--config", p])
     assert code == 0
     rep = json.loads(out)
     assert rep["q_periodic_map"] is True
@@ -205,12 +205,17 @@ def test_no_command_is_usage_error():
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-@pytest.mark.parametrize("theorem", ["cartan", "hsmt"])
+@pytest.mark.parametrize("theorem", ["cartan", "hsmt", "hypersurface",
+                                     "gundersen"])
 def test_verify_stdout_matches_golden(theorem):
     # this map reaches only exact algebra and rational line views, so a
-    # change that keeps their arithmetic keeps every byte of the report
+    # change that keeps their arithmetic keeps every byte of the report;
+    # at alpha 2 its monomial Casoratian vanishes, so hypersurface runs at
+    # alpha 1, where the report has rows and a filtration
+    config = ("golden_run_alpha1.json" if theorem == "hypersurface"
+              else "golden_run.json")
     code, out = run(["verify", theorem, "--config",
-                     os.path.join(DATA, "golden_run.json")])
+                     os.path.join(DATA, config)])
     assert code == 0
     with open(os.path.join(DATA, f"golden_verify_{theorem}.stdout")) as fh:
         assert out == fh.read()

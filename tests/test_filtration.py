@@ -25,11 +25,11 @@ def conics():
 def test_enumerate_tuples_lex_and_count():
     t = enumerate_tuples(2, 4, 1)
     # all (i1, i2) with i1 + i2 <= 4, in lex order
-    assert len(t.tuples) == 15
-    assert t.tuples == sorted(t.tuples)
-    assert len(set(t.tuples)) == 15
+    assert len(t) == 15
+    assert t == sorted(t)
+    assert len(set(t)) == 15
     t2 = enumerate_tuples(2, 5, 2)
-    assert all(2 * sum(e) <= 5 for e in t2.tuples)
+    assert all(2 * sum(e) <= 5 for e in t2)
 
 
 def test_hilbert_stabilization_values():

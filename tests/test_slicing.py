@@ -1,12 +1,15 @@
 """Log-domain line views and scaled determinant evaluation."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from nevlab.funcspace import ProductEntireSlice, QPochhammerSpec
+from nevlab.funcspace import (HomogeneousForm, ProductEntireSlice,
+                              ProjectiveMap, QPochhammerSpec, constant_slice)
+from nevlab.nevcore import QuadratureSpec, RadialGrid, fmt_residual
 from nevlab.polynomials import Polynomial
 from nevlab.rationals import GaussianRational
 from nevlab.slicing import (PochhammerLineView, RationalLineView,
@@ -216,3 +219,17 @@ def test_log_value_at_matches_line_view(qbase, coeffs, xs):
     got = h.log_value_at(z)
     assert isinstance(got, complex)
     assert_log_close(got, h.line_view(z).log_values(np.array([1.0]))[0])
+
+
+def test_form_composition_zero_component_gives_no_nan():
+    # (u; 1/2)_inf vanishes at u = 1, a node of the unit circle, so one
+    # component log is -inf there; scaling it by its exponent must not
+    # produce NaN (numpy warns on -inf * (1 + 0j))
+    f = ProjectiveMap([constant_slice(1, 1), ProductEntireSlice(
+        QPochhammerSpec(Fraction(1, 2), Polynomial.variable(0, 1)))])
+    quad = QuadratureSpec(n_lines=1, n_theta=128, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = fmt_residual(f, HomogeneousForm.hyperplane([1, 1]),
+                          RadialGrid((10.0, 100.0)), quad)
+    assert all(math.isfinite(s.m_val) and math.isfinite(s.err) for s in rs)

@@ -75,6 +75,9 @@ def test_cartan_degenerate_map_reports_only():
     rep = verify_cartan_smt(f, H, Q2, GRID, QUAD)
     assert rep.report_only
     assert rep.verdict() is None
+    # the same note as `nevlab nondegeneracy` prints for this map
+    assert rep.hypotheses["linear_nondegeneracy"] == (
+        False, qops.linear_nondegeneracy(f, Q2).note)
 
 
 def test_cartan_rejects_degree_two_forms():
