@@ -135,7 +135,8 @@ def _cmd_nev(args) -> int:
 def _cmd_casorati(args) -> int:
     from . import serialize as S
     from .funcspace import RationalSlice
-    from .qops import _sample_points, casorati, casorati_monomials
+    from .qops import (_sample_points, casorati, casorati_monomials,
+                       scaled_sample)
     f = S.map_from_json(_load_json(args.map), args.map)
     q = S.qshift_from_json(_load_json(args.q), args.q)
     det = (casorati_monomials(f, args.alpha, q) if args.alpha
@@ -148,7 +149,7 @@ def _cmd_casorati(args) -> int:
         pts = _sample_points(f.nvars, 8, args.seed)
         report = {"kind": "samples",
                   "samples": [{"z": [ [v.real, v.imag] for v in z ],
-                               "scaled_magnitude": det.scaled_sample(z)}
+                               "scaled_magnitude": scaled_sample(det, z)}
                               for z in pts]}
     _emit(report, args.out)
     return 0

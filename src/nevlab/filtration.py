@@ -31,12 +31,6 @@ class FiltrationLevel:
 
 
 @dataclass
-class FiltrationBasis:
-    elements: List[Tuple[Tuple[int, ...], Tuple[int, ...], Polynomial]]
-    # (level tuple (i), monomial rho exponents, psi = gamma^(i) * rho)
-
-
-@dataclass
 class FiltrationReport:
     alpha: int
     d: int
@@ -220,44 +214,6 @@ def quotient_check(levels: Sequence[FiltrationLevel], alpha: int, d: int,
     bad = [(lv.tuple, lv.quotient_dim) for lv in levels
            if d * sum(lv.tuple) < alpha - alpha0 and lv.quotient_dim != dn]
     return QuotientVerdict(not bad, empirical_alpha0(levels, alpha, d, n), bad)
-
-
-def build_basis(levels: Sequence[FiltrationLevel],
-                gammas: Sequence[HomogeneousForm],
-                alpha: int) -> FiltrationBasis:
-    """A basis psi_t = gamma^(i) * rho of V_alpha adapted to the filtration,
-    assembled from the last lex level upward with exact rank checks."""
-    gammas = list(gammas)
-    n = len(gammas)
-    d = _common_degree(gammas)
-    gpolys = [g.to_polynomial() for g in gammas]
-    n1 = gpolys[0].nvars
-    ech = SparseEchelon()
-    elements = []
-    by_tuple = {lv.tuple: lv for lv in levels}
-    for lv in reversed(list(levels)):
-        e = lv.tuple
-        base = Polynomial.constant(1, n1)
-        for g, k in zip(gpolys, e):
-            if k:
-                base = base * g ** k
-        added = 0
-        for mu in monomials_of_degree(n1, alpha - d * sum(e)):
-            psi = base * Polynomial.monomial(mu)
-            if ech.add(dict(psi.terms)):
-                elements.append((e, mu, psi))
-                added += 1
-                if added == lv.quotient_dim:
-                    break
-        if ech.rank != by_tuple[e].space_dim:
-            raise NumericError(
-                f"basis construction stalled at level {e}: rank {ech.rank} "
-                f"vs expected {by_tuple[e].space_dim}")
-    M = math.comb(alpha + n, n)
-    if len(elements) != M:
-        raise NumericError(f"basis has {len(elements)} elements, expected {M}")
-    elements.reverse()
-    return FiltrationBasis(elements)
 
 
 def delta_totals(levels: Sequence[FiltrationLevel], alpha: int, d: int,

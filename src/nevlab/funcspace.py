@@ -6,6 +6,10 @@ functions (exact everywhere) and product-entire functions built from a
 q-Pochhammer-type infinite product, whose zero set along any line is known
 in closed form.  Quotients and products of these cover every test case the
 harnesses need.
+
+Slice functions are evaluated only through line views.  A point z is the
+node u = 1 on the line through z, so log h(z) is
+h.line_view(z).log_values(np.ones(1))[0].
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from .errors import UsageError
 from .linalg import SparseEchelon
 from .polynomials import Polynomial, RationalFunction, poly_gcd, try_divide
 from .rationals import GaussianRational, ONE
-from .slicing import (FormCompositionLineView, LineView, PochhammerLineView,
-                      ProductLineView, QuotientLineView, RationalLineView,
-                      _pochhammer_log)
+from .slicing import (ConstantLineView, FormCompositionLineView, LineView,
+                      PochhammerLineView, ProductLineView, QuotientLineView,
+                      RationalLineView)
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +41,6 @@ class SliceFunction:
     nvars: int
 
     def line_view(self, xi: np.ndarray) -> LineView:
-        raise NotImplementedError
-
-    def log_value_at(self, z: np.ndarray) -> complex:
-        """Complex log of the value at a point (real part = log|h(z)|,
-        imaginary part defined only mod 2*pi)."""
         raise NotImplementedError
 
     def scale_q(self, factors: Sequence[complex]) -> "SliceFunction":
@@ -99,15 +98,12 @@ class RationalSlice(SliceFunction):
             den = self.rf.den.restrict_numeric(xi)
             if not np.any(den):
                 raise UsageError("denominator vanishes on this line")
-            view = self._views[key] = RationalLineView(num, den)
+            # the zero constant keeps RationalLineView, whose zeros() raises
+            view = self._views[key] = (
+                ConstantLineView(num[0])
+                if self.rf.is_constant() and not self.rf.is_zero()
+                else RationalLineView(num, den))
         return view
-
-    def log_value_at(self, z):
-        z = np.asarray(z, dtype=complex)
-        nv = complex(self.rf.num.eval_complex(z))
-        dv = complex(self.rf.den.eval_complex(z))
-        with np.errstate(divide="ignore"):
-            return complex(np.log(complex(nv))) - complex(np.log(complex(dv)))
 
     def scale_q(self, factors):
         return RationalSlice(self.rf.scale_vars(list(factors)))
@@ -155,11 +151,6 @@ class ProductEntireSlice(SliceFunction):
         return PochhammerLineView(self.spec.qbase, a, self._const,
                                   self.spec.tail)
 
-    def log_value_at(self, z):
-        ell = complex(np.dot(self._lin, np.asarray(z, dtype=complex))) \
-            + self._const
-        return complex(_pochhammer_log(self.spec.qbase, ell, self.spec.tail))
-
     def scale_q(self, factors):
         exact = all(isinstance(f, (int, Fraction, GaussianRational))
                     for f in factors)
@@ -195,9 +186,6 @@ class ProductSlice(SliceFunction):
     def line_view(self, xi):
         return ProductLineView([f.line_view(xi) for f in self.factors])
 
-    def log_value_at(self, z):
-        return sum(f.log_value_at(z) for f in self.factors)
-
     def scale_q(self, factors):
         return ProductSlice([f.scale_q(factors) for f in self.factors])
 
@@ -212,9 +200,6 @@ class QuotientSlice(SliceFunction):
 
     def line_view(self, xi):
         return QuotientLineView(self.num.line_view(xi), self.den.line_view(xi))
-
-    def log_value_at(self, z):
-        return self.num.log_value_at(z) - self.den.log_value_at(z)
 
     def scale_q(self, factors):
         return QuotientSlice(self.num.scale_q(factors),
@@ -238,17 +223,6 @@ class CompositionSlice(SliceFunction):
     def line_view(self, xi):
         return FormCompositionLineView(
             self.coeffs, [c.line_view(xi) for c in self.components])
-
-    def log_value_at(self, z):
-        logs = [c.log_value_at(z) for c in self.components]
-        total = 0j
-        for c, exps in self.coeffs:
-            t = complex(np.log(complex(c))) if c else complex("-inf")
-            for lv, e in zip(logs, exps):
-                t += e * lv
-            total += np.exp(t)
-        with np.errstate(divide="ignore"):
-            return complex(np.log(complex(total)))
 
     def scale_q(self, factors):
         return CompositionSlice(self.coeffs,

@@ -561,15 +561,6 @@ CASES: List[GalleryCase] = [
 _BY_NAME = {c.name: c for c in CASES}
 
 
-def run_case(name: str) -> Tuple[bool, str, str]:
-    if name not in _BY_NAME:
-        raise UsageError(f"unknown gallery case {name!r}; known: "
-                         + ", ".join(sorted(_BY_NAME)))
-    case = _BY_NAME[name]
-    ok, detail = case.run()
-    return ok, detail, case.tag
-
-
 def run_all(names: Optional[List[str]] = None):
     """Run the selected (or all) cases, one after another.
 

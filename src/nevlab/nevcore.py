@@ -349,21 +349,6 @@ def fmt_residual(f: ProjectiveMap, D, grid: RadialGrid, quad: QuadratureSpec,
     return out
 
 
-def weil_value(f: ProjectiveMap, H, z) -> float:
-    """log(||f(z)|| ||a|| / |H(f)(z)|), nonnegative; inf on the hyperplane."""
-    if H.degree != 1:
-        raise UsageError("Weil values are defined here for hyperplanes")
-    z = np.asarray(z, dtype=complex)
-    vals = np.array([np.exp(c.log_value_at(z)) for c in f.components])
-    a = H.coeff_vector()
-    inner = complex(np.dot(a, vals))
-    nf = float(np.linalg.norm(vals))
-    na = float(np.linalg.norm(a))
-    if inner == 0:
-        return math.inf
-    return math.log(nf * na / abs(inner))
-
-
 def order_estimate(samples: Sequence[NevSample]) -> float:
     """Least-squares slope of log+ T against log r over the top half."""
     pts = [(s.r, s.t_val) for s in samples]

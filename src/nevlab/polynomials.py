@@ -201,17 +201,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def eval_exact(self, point: Sequence) -> GaussianRational:
-        vals = [GaussianRational.from_value(v) for v in point]
-        out = ZERO
-        for e, c in self.terms.items():
-            k = c
-            for v, ei in zip(vals, e):
-                if ei:
-                    k = k * v**ei
-            out = out + k
-        return out
-
     # ---- line restriction ----------------------------------------------
     def restrict_exact(self, xi: Sequence) -> "Polynomial":
         """Exact substitution z = u * xi; returns a univariate polynomial."""

@@ -20,7 +20,8 @@ from .nevcore import (QuadratureSpec, RadialGrid, characteristic_function,
                       counting, directions_for, order_estimate, proximity)
 from .polynomials import Polynomial, RationalFunction
 from .rationals import GaussianRational
-from .slicing import DeterminantLineView, _assignment_scale, _scaled_slogdet
+from .slicing import (DeterminantLineView, MonomialDeterminantLineView,
+                      _assignment_scale, _scaled_slogdet)
 
 
 MONOMIAL_CAP = 64
@@ -148,29 +149,9 @@ class CasoratiSlice(SliceFunction):
         return DeterminantLineView(
             [[e.line_view(xi) for e in row] for row in self.matrix])
 
-    def _log_matrix(self, z) -> np.ndarray:
-        n = len(self.matrix)
-        logm = np.empty((n, n), dtype=complex)
-        for i, row in enumerate(self.matrix):
-            for j, e in enumerate(row):
-                logm[i, j] = e.log_value_at(z)
-        return logm
-
-    def log_value_at(self, z):
-        return complex(_scaled_slogdet(self._log_matrix(z)))
-
     def scale_q(self, factors):
         return CasoratiSlice(
             [[e.scale_q(factors) for e in row] for row in self.matrix])
-
-    def scaled_sample(self, z) -> float:
-        """|det| of the row-normalized matrix at a point (in [0, n^{n/2}])."""
-        logm = self._log_matrix(z)
-        lv = _scaled_slogdet(logm)
-        # magnitude relative to the largest single permutation term
-        scale = _assignment_scale(logm)
-        return 0.0 if lv.real == float("-inf") else \
-            float(np.exp(min(lv.real - scale, 200.0)))
 
 
 def _shift_matrix(components: Sequence[SliceFunction],
@@ -218,28 +199,8 @@ class MonomialCasoratiSlice(SliceFunction):
                          for k in range(len(self.monos))]
 
     def line_view(self, xi):
-        from .slicing import MonomialDeterminantLineView
         rows = [[c.line_view(xi) for c in row] for row in self._shifted]
         return MonomialDeterminantLineView(rows, self.monos)
-
-    def _log_matrix(self, z) -> np.ndarray:
-        M = len(self.monos)
-        emat = np.asarray(self.monos, dtype=float)
-        logm = np.empty((M, M), dtype=complex)
-        for k, row in enumerate(self._shifted):
-            comp = np.array([c.log_value_at(z) for c in row])
-            logm[k, :] = emat @ comp
-        return logm
-
-    def log_value_at(self, z):
-        return complex(_scaled_slogdet(self._log_matrix(z)))
-
-    def scaled_sample(self, z) -> float:
-        logm = self._log_matrix(z)
-        lv = _scaled_slogdet(logm)
-        scale = _assignment_scale(logm)
-        return 0.0 if lv.real == float("-inf") else \
-            float(np.exp(min(lv.real - scale, 200.0)))
 
 
 def casorati_monomials(f: ProjectiveMap, alpha: int,
@@ -281,6 +242,18 @@ def _sample_points(m: int, count: int, seed: int) -> np.ndarray:
     return pts * scales
 
 
+def scaled_sample(det: SliceFunction, z: np.ndarray) -> float:
+    """|det| at the point z, which is the node u = 1 on the line through
+    z, relative to the largest single permutation term of its matrix (in
+    [0, n^{n/2}]): a scale-free magnitude for deciding whether a sampled
+    Casoratian vanishes there."""
+    logm = det.line_view(z).log_matrix(np.ones(1))[0]
+    lv = _scaled_slogdet(logm)
+    scale = _assignment_scale(logm)
+    return 0.0 if lv.real == float("-inf") else \
+        float(np.exp(min(lv.real - scale, 200.0)))
+
+
 def decide_nonzero(det: SliceFunction, m: int,
                    seed: int = 7) -> NondegeneracyVerdict:
     """Is a (monomial) Casoratian not identically zero?  Decided exactly
@@ -290,10 +263,9 @@ def decide_nonzero(det: SliceFunction, m: int,
         ok = not det.rf.is_zero()
         return NondegeneracyVerdict(ok, "symbolic",
                                     "determinant computed exactly")
-    if not hasattr(det, "scaled_sample"):
+    if not isinstance(det, (CasoratiSlice, MonomialCasoratiSlice)):
         raise UsageError("cannot sample this determinant representation")
-    vals = [det.scaled_sample(z)
-            for z in _sample_points(m, N_SAMPLES, seed)]
+    vals = [scaled_sample(det, z) for z in _sample_points(m, N_SAMPLES, seed)]
     nonzero = sum(v > SAMPLE_THRESHOLD for v in vals)
     if nonzero:
         return NondegeneracyVerdict(True, "sampling", f"nonzero at {nonzero}"

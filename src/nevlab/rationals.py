@@ -103,12 +103,6 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 

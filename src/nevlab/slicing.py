@@ -339,17 +339,19 @@ class MonomialDeterminantLineView(LineView):
         self.has_closed_zeros = False
         self.identically_zero = False
 
-    def log_values(self, u):
-        u = np.asarray(u, dtype=complex)
-        flat = u.ravel()
+    def log_matrix(self, u) -> np.ndarray:
+        """The (nodes, M, M) log matrix at the flattened nodes u."""
+        flat = np.asarray(u, dtype=complex).ravel()
         M = len(self.monos)
         logm = np.empty((flat.size, M, M), dtype=complex)
         emat = np.asarray(self.monos, dtype=float)  # (M, n1)
         for k, row in enumerate(self.rows):
             comp = np.stack([v.log_values(flat) for v in row], axis=1)
             logm[:, k, :] = comp @ emat.T
-        out = _scaled_slogdet(logm)
-        return out.reshape(u.shape)
+        return logm
+
+    def log_values(self, u):
+        return _scaled_slogdet(self.log_matrix(u)).reshape(np.shape(u))
 
     def zeros(self, r):
         raise UsageError("determinant view has no closed-form zero set")
@@ -440,15 +442,18 @@ class DeterminantLineView(LineView):
         self.has_closed_zeros = False
         self.identically_zero = False  # decided by the caller's sampling
 
-    def log_values(self, u):
-        u = np.asarray(u, dtype=complex)
+    def log_matrix(self, u) -> np.ndarray:
+        """The (nodes, n, n) log matrix at the flattened nodes u."""
+        flat = np.asarray(u, dtype=complex).ravel()
         n = len(self.matrix)
-        logm = np.empty((u.size, n, n), dtype=complex)
-        flat = u.ravel()
+        logm = np.empty((flat.size, n, n), dtype=complex)
         for i, row in enumerate(self.matrix):
             for j, v in enumerate(row):
                 logm[:, i, j] = v.log_values(flat)
-        return _scaled_slogdet(logm).reshape(u.shape)
+        return logm
+
+    def log_values(self, u):
+        return _scaled_slogdet(self.log_matrix(u)).reshape(np.shape(u))
 
     def zeros(self, r):
         raise UsageError("determinant view has no closed-form zero set")

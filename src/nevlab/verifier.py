@@ -503,9 +503,11 @@ def _identity_holds(U, P, Q, w) -> Tuple[bool, str]:
     pts = rng.standard_normal((8, w.nvars)) + \
         1j * rng.standard_normal((8, w.nvars))
     worst = 0.0
+    one = np.ones(1)
     for z in pts:
-        a = up.log_value_at(z)
-        b = qq.log_value_at(z)
+        # a point is the node u = 1 on the line through it
+        a = up.line_view(z).log_values(one)[0]
+        b = qq.line_view(z).log_values(one)[0]
         scale = max(a.real, b.real, 0.0)
         worst = max(worst, abs(np.exp(a - scale) - np.exp(b - scale)))
     return worst <= 1e-9, f"residual identity check, worst {worst:.2e}"

@@ -243,7 +243,7 @@ def orbit_rank_dependent(comps, q, rng):
         rows = []
         for s in range(k + 2):
             z = z0 * qv ** s
-            rows.append([np.exp(c.log_value_at(z)) for c in comps])
+            rows.append([complex(c.rf.eval_complex(z)) for c in comps])
         m = np.array(rows)
         sv = np.linalg.svd(m, compute_uv=False)
         if sv[-1] > 1e-8 * sv[0]:

@@ -219,3 +219,42 @@ def test_verify_stdout_matches_golden(theorem):
     assert code == 0
     with open(os.path.join(DATA, f"golden_verify_{theorem}.stdout")) as fh:
         assert out == fh.read()
+
+
+def _poly2(terms):
+    return {"nvars": 2, "terms": [{"exps": list(e), "re": re, "im": im}
+                                  for e, re, im in terms]}
+
+
+# maps with q-Pochhammer components, so their Casoratians are sampled at
+# seeded points rather than computed exactly
+SAMPLED_MAPS = {
+    # the benchmark's product map [1 : (1/2; z1)_inf : (3/5; z2)_inf]
+    "product": {"components": [
+        _poly2([((0, 0), "1", "0")]),
+        {"qbase": ["1/2", "0"], "linear": _poly2([((1, 0), "1", "0")])},
+        {"qbase": ["3/5", "0"], "linear": _poly2([((0, 1), "1", "0")])}]},
+    # a cubic with several terms of one degree, so the point value sums
+    # more than one term per power of u
+    "cubic": {"components": [
+        _poly2([((3, 0), "1", "0"), ((1, 2), "-2", "0"),
+                ((1, 1), "3/2", "0"), ((0, 1), "1", "0"),
+                ((0, 0), "-1/2", "1")]),
+        {"qbase": ["1/2", "0"],
+         "linear": _poly2([((1, 0), "1", "0"), ((0, 1), "2", "0")])},
+        {"qbase": ["3/5", "0"], "linear": _poly2([((0, 1), "1", "0")])}]},
+}
+
+
+@pytest.mark.parametrize("alpha", [0, 2])
+@pytest.mark.parametrize("name", sorted(SAMPLED_MAPS))
+@pytest.mark.parametrize("command", ["casorati", "nondegeneracy"])
+def test_sampled_casorati_stdout_matches_golden(tmp_path, command, name,
+                                                alpha):
+    mp = write(tmp_path, "map.json", SAMPLED_MAPS[name])
+    q = write(tmp_path, "q.json", {"q": [["2", "0"], ["2", "0"]]})
+    code, out = run([command, "--map", mp, "--q", q, "--alpha", str(alpha)])
+    assert code == 0
+    golden = f"golden_casorati_{command}_{name}_alpha{alpha}.json"
+    with open(os.path.join(DATA, golden)) as fh:
+        assert out == fh.read()

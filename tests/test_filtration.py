@@ -1,14 +1,12 @@
-"""Graded filtration: enumeration, levels, basis, and exact dimensions."""
+"""Graded filtration: enumeration, levels, and exact dimensions."""
 
 import math
 
 import pytest
 
-from nevlab.errors import UsageError
-from nevlab.filtration import (build_basis, build_filtration, delta_totals,
-                               enumerate_tuples, filtration_report,
-                               hilbert_stabilization, lift_to_common_degree,
-                               quotient_check)
+from nevlab.filtration import (delta_totals, enumerate_tuples,
+                               filtration_report, hilbert_stabilization,
+                               lift_to_common_degree, quotient_check)
 from nevlab.funcspace import HomogeneousForm
 
 
@@ -75,18 +73,6 @@ def test_known_delta_values():
     assert filtration_report(lines(), 4).delta == 20
     assert filtration_report(lines(), 8).delta == 120
     assert filtration_report(conics(), 8).delta == 50
-
-
-def test_basis_spans_v_alpha():
-    gammas = conics()
-    alpha = 4
-    levels = build_filtration(gammas, alpha)
-    basis = build_basis(levels, gammas, alpha)
-    assert len(basis.elements) == math.comb(alpha + 2, 2)
-    # every element is gamma^(i) * rho of total degree alpha
-    for e, mu, psi in basis.elements:
-        assert psi.total_degree() == alpha
-        assert 2 * sum(e) + sum(mu) == alpha
 
 
 def test_ratio_monotone_toward_limit():

@@ -17,18 +17,23 @@ from nevlab.polynomials import Polynomial, RationalFunction
 Z = Polynomial.variable(0, 1)
 
 
+def value_at(h, z):
+    """h(z): a point is the node u = 1 on the line through it."""
+    return np.exp(h.line_view(z).log_values(np.ones(1))[0])
+
+
 def test_rational_slice_log_value():
     h = RationalSlice(RationalFunction(Z * Z + 1, Z - 2))
     z = np.array([3.0 + 0j])
-    assert abs(np.exp(h.log_value_at(z)) - 10.0) < 1e-12
+    assert abs(value_at(h, z) - 10.0) < 1e-12
 
 
 def test_product_and_quotient_values():
     a = RationalSlice(Z + 1)
     b = RationalSlice(Z - 1)
     z = np.array([2.0 + 0j])
-    assert abs(np.exp((a * b).log_value_at(z)) - 3.0) < 1e-12
-    assert abs(np.exp((a / b).log_value_at(z)) - 3.0) < 1e-12
+    assert abs(value_at(a * b, z) - 3.0) < 1e-12
+    assert abs(value_at(a / b, z) - 3.0) < 1e-12
 
 
 def test_rational_line_view_kept_per_direction():
@@ -51,7 +56,7 @@ def test_pochhammer_value():
     expected = 1.0
     for k in range(200):
         expected *= 1.0 - 0.25 * 0.5 ** k
-    got = np.exp(h.log_value_at(np.array([0.25 + 0j])))
+    got = value_at(h, np.array([0.25 + 0j]))
     assert abs(got - expected) < 1e-12
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from nevlab.errors import UsageError
-from nevlab.gallery import CASES, run_all, run_case
+from nevlab.gallery import CASES, run_all
 
 
 def test_case_names_unique_and_tagged():
@@ -14,7 +14,8 @@ def test_case_names_unique_and_tagged():
 
 
 def test_run_single_case():
-    ok, detail, tag = run_case("casorati_vandermonde")
+    [(name, ok, detail, tag)] = run_all(["casorati_vandermonde"])
+    assert name == "casorati_vandermonde"
     assert ok, detail
     assert tag == "oracle"
 

@@ -8,12 +8,12 @@ import pytest
 from nevlab.errors import NumericError, UsageError
 from nevlab.funcspace import (ProductEntireSlice, ProductSlice,
                               ProjectiveMap, QPochhammerSpec, RationalSlice,
-                              constant_slice, HomogeneousForm)
+                              constant_slice)
 from nevlab.nevcore import (DirectionSet, NevSample, QuadratureSpec,
                             RadialGrid, characteristic,
                             characteristic_function, circle_mean_log, counting,
                             fit_slope, jensen_residual, order_estimate,
-                            proximity, weil_value)
+                            proximity)
 from nevlab.funcspace import SliceFunction
 from nevlab.polynomials import Polynomial, RationalFunction
 from nevlab.slicing import LineView
@@ -100,15 +100,6 @@ def test_jensen_residual_vanishes_for_rational():
     grid = RadialGrid((2.0, 20.0, 200.0))
     for s in jensen_residual(h, grid, QUAD):
         assert abs(s.m_val) <= 1e-6 + s.err
-
-
-def test_weil_value_nonnegative():
-    f = ProjectiveMap([constant_slice(1, 1), RationalSlice(Z)])
-    H = HomogeneousForm.hyperplane([1, 1])
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-        assert weil_value(f, H, z) >= -1e-12
 
 
 def test_order_estimate_zero_for_bounded_growth():

@@ -5,16 +5,21 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nevlab.funcspace import (HomogeneousForm, ProductEntireSlice,
-                              ProjectiveMap, QPochhammerSpec, constant_slice)
+from nevlab.errors import UsageError
+from nevlab.funcspace import (CompositionSlice, HomogeneousForm,
+                              ProductEntireSlice, ProductSlice, ProjectiveMap,
+                              QPochhammerSpec, QuotientSlice, RationalSlice,
+                              constant_slice)
 from nevlab.nevcore import QuadratureSpec, RadialGrid, fmt_residual
-from nevlab.polynomials import Polynomial
+from nevlab.polynomials import Polynomial, RationalFunction
 from nevlab.rationals import GaussianRational
-from nevlab.slicing import (PochhammerLineView, RationalLineView,
-                            _assignment_scale, _nterms, _pochhammer_log,
-                            _scaled_slogdet, _tropical_slogdet)
+from nevlab.slicing import (ConstantLineView, PochhammerLineView,
+                            RationalLineView, _assignment_scale, _nterms,
+                            _pochhammer_log, _scaled_slogdet,
+                            _tropical_slogdet)
 
 
 def logdet_reference(a):
@@ -114,18 +119,24 @@ def test_rational_line_view_cancellation():
 
 def pochhammer_log_reference(qbase, ell, tail=1e-15):
     """(sum_k log(1 - ell * q^k), min_k |1 - ell * q^k|): one log per
-    factor, same term count, plus the factor nearest zero."""
+    factor, same term count, plus the factor nearest zero.
+
+    The logs are summed with math.fsum: thousands of factors each add a
+    phase of up to pi, and a running sum drifts by ~1e-9 over them."""
     q = complex(qbase)
     ell = np.asarray(ell, dtype=complex)
     n = _nterms(q, tail, float(np.max(np.abs(ell))))
-    out = np.zeros(ell.shape, dtype=complex)
+    logs = []
     nearest = np.full(ell.shape, np.inf)
     qk = 1.0 + 0j
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(n):
-            out = out + np.log(1 - ell * qk)
+            logs.append(np.log(1 - ell * qk))
             nearest = np.minimum(nearest, np.abs(1 - ell * qk))
             qk *= q
+    per_point = np.asarray(logs).reshape(n, -1).T
+    out = np.array([complex(math.fsum(c.real), math.fsum(c.imag))
+                    for c in per_point]).reshape(ell.shape)
     return out, nearest
 
 
@@ -206,19 +217,139 @@ gauss = st.builds(GaussianRational,
                   st.fractions(-5, 5, max_denominator=4))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(fraction_bases, complex_bases),
-       st.lists(gauss, min_size=3, max_size=3).filter(
-           lambda c: any(c[1:])),
-       st.lists(st.floats(-50, 50), min_size=4, max_size=4))
-def test_log_value_at_matches_line_view(qbase, coeffs, xs):
-    c0, c1, c2 = coeffs
+# ---------------------------------------------------------------------------
+# point values: a point z is the node u = 1 on the line through z
+# ---------------------------------------------------------------------------
+
+def point_log(h, z):
+    return h.line_view(z).log_values(np.ones(1))[0]
+
+
+def reference_log(h, z):
+    """(log h(z), smallest Pochhammer factor) without line views:
+    eval_complex for rational slices, the per-factor loop for Pochhammer
+    slices."""
+    if isinstance(h, RationalSlice):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(complex(h.rf.eval_complex(z))), np.inf
+    if isinstance(h, ProductEntireSlice):
+        ell = complex(h.spec.argument.eval_complex(z))
+        return pochhammer_log_reference(h.spec.qbase, ell, h.spec.tail)
+    if isinstance(h, ProductSlice):
+        parts = [reference_log(f, z) for f in h.factors]
+        return sum(p for p, _ in parts), min(n for _, n in parts)
+    (num, n1), (den, n2) = reference_log(h.num, z), reference_log(h.den, z)
+    assume(np.isfinite(den.real))  # no pole at z
+    return num - den, min(n1, n2)
+
+
+def reference_composition(h, z):
+    """(h(z), sum of the magnitudes of its terms) for a CompositionSlice,
+    summed as complex values."""
+    logs = [reference_log(c, z)[0] for c in h.components]
+    assume(all(lv.real < np.inf for lv in logs))  # no pole at z
+    vals = [np.exp(lv) for lv in logs]
+    terms = [c * np.prod([v ** e for v, e in zip(vals, exps)])
+             for c, exps in h.coeffs]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+# dyadic coefficients and points: every term of a polynomial at z is exact
+# in double precision, so the rational references are exact
+dyadic = st.builds(GaussianRational, st.integers(-8, 8).map(
+    lambda k: Fraction(k, 4)), st.integers(-8, 8).map(lambda k: Fraction(k, 4)))
+dyadic_points = st.lists(
+    st.integers(-24, 24).map(lambda k: k / 8), min_size=4, max_size=4).map(
+    lambda x: np.array([complex(x[0], x[1]), complex(x[2], x[3])])).filter(
+    lambda z: np.any(z))  # the origin lies on no line
+EXPS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (1, 2)]
+
+
+@st.composite
+def rational_slices(draw):
+    num = Polynomial(2, dict(zip(
+        draw(st.lists(st.sampled_from(EXPS), min_size=1, max_size=4)),
+        draw(st.lists(dyadic, min_size=4, max_size=4)))))
+    assume(not num.is_zero())
+    # a monic denominator keeps the reduced coefficients dyadic
+    den = draw(st.sampled_from([Polynomial.constant(1, 2),
+                                Polynomial.variable(0, 2),
+                                Polynomial.variable(1, 2) + 1]))
+    return RationalSlice(RationalFunction(num, den))
+
+
+@st.composite
+def pochhammer_slices(draw):
+    c0, c1, c2 = draw(st.lists(dyadic, min_size=3, max_size=3).filter(
+        lambda c: any(c[1:])))
+    qbase = draw(st.one_of(st.just(Fraction(1, 2)), fraction_bases,
+                           complex_bases))
     ell = Polynomial(2, {(0, 0): c0, (1, 0): c1, (0, 1): c2})
-    h = ProductEntireSlice(QPochhammerSpec(qbase, ell))
-    z = np.array([complex(xs[0], xs[1]), complex(xs[2], xs[3])])
-    got = h.log_value_at(z)
-    assert isinstance(got, complex)
-    assert_log_close(got, h.line_view(z).log_values(np.array([1.0]))[0])
+    return ProductEntireSlice(QPochhammerSpec(qbase, ell))
+
+
+leaves = st.one_of(rational_slices(), pochhammer_slices())
+
+
+@settings(max_examples=80, deadline=None)
+@given(leaves, leaves, st.sampled_from(["leaf", "product", "quotient"]),
+       dyadic_points)
+def test_point_value_through_view_matches_reference(a, b, kind, z):
+    h = {"leaf": a, "product": ProductSlice([a, b]),
+         "quotient": QuotientSlice(a, b)}[kind]
+    ref, nearest = reference_log(h, z)
+    assume(ref.real < np.inf)  # no pole at z
+    assert_log_close(point_log(h, z), ref, nearest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(leaves, min_size=2, max_size=2),
+       st.lists(st.tuples(dyadic.filter(bool), st.integers(0, 3),
+                          st.integers(0, 3)), min_size=1, max_size=3),
+       dyadic_points)
+def test_composition_point_value_matches_reference(comps, terms, z):
+    h = CompositionSlice([(c.to_complex(), (i, j)) for c, i, j in terms],
+                         comps)
+    ref, envelope = reference_composition(h, z)
+    got = point_log(h, z)
+    assert not (np.isnan(got.real) or np.isnan(got.imag))
+    assert abs(np.exp(got) - ref) <= 1e-10 * envelope
+
+
+def test_composition_point_value_where_a_component_vanishes():
+    z1 = Polynomial.variable(0, 1)
+    poch = ProductEntireSlice(QPochhammerSpec(Fraction(1, 2), z1))
+    # (z; 1/2)_inf + 1 at z = 1, a zero of the first term
+    h = CompositionSlice([(1.0, (1, 0)), (1.0, (0, 1))],
+                         [poch, constant_slice(1, 1)])
+    assert point_log(h, np.array([1.0 + 0j])) == 0
+    # z^1000 - 1 at z = 3: the terms leave the double range, the log not
+    h = CompositionSlice([(1.0, (1000, 0)), (-1.0, (0, 1000))],
+                         [RationalSlice(z1), constant_slice(1, 1)])
+    got = point_log(h, np.array([3.0 + 0j]))
+    assert abs(got.real - 1000 * math.log(3)) <= 1e-12 * 1000 * math.log(3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gauss.filter(bool), st.lists(st.floats(-3, 3), min_size=4,
+                                    max_size=4).filter(any),
+       st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
+def test_nonzero_constant_gets_constant_view(c, xs, us):
+    xi = np.array([complex(xs[0], xs[1]), complex(xs[2], xs[3])])
+    u = np.array(us) * (1 - 0.5j)
+    view = constant_slice(c, 2).line_view(xi)
+    assert isinstance(view, ConstantLineView)
+    ref = RationalLineView([c.to_complex()], [1])
+    assert view.log_values(u).tobytes() == ref.log_values(u).tobytes()
+    assert view.zeros(1e6) == [] and view.poles(1e6) == []
+    assert not view.identically_zero
+
+
+def test_zero_constant_keeps_rational_view():
+    view = constant_slice(0, 2).line_view(np.array([1.0, 1j]))
+    assert view.identically_zero
+    with pytest.raises(UsageError):
+        view.zeros(1.0)
 
 
 def test_form_composition_zero_component_gives_no_nan():

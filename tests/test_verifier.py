@@ -1,6 +1,5 @@
 """Inequality and identity harnesses: closed forms and report contracts."""
 
-import math
 from fractions import Fraction
 
 import pytest
