@@ -135,8 +135,8 @@ def _cmd_nev(args) -> int:
 def _cmd_casorati(args) -> int:
     from . import serialize as S
     from .funcspace import RationalSlice
-    from .qops import (_sample_points, casorati, casorati_monomials,
-                       scaled_sample)
+    from .qops import (N_SAMPLES, _sample_points, casorati,
+                       casorati_monomials, scaled_sample)
     f = S.map_from_json(_load_json(args.map), args.map)
     q = S.qshift_from_json(_load_json(args.q), args.q)
     det = (casorati_monomials(f, args.alpha, q) if args.alpha
@@ -146,7 +146,7 @@ def _cmd_casorati(args) -> int:
                   "num": S.polynomial_to_json(det.rf.num),
                   "den": S.polynomial_to_json(det.rf.den)}
     else:
-        pts = _sample_points(f.nvars, 8, args.seed)
+        pts = _sample_points(f.nvars, N_SAMPLES, args.seed)
         report = {"kind": "samples",
                   "samples": [{"z": [ [v.real, v.imag] for v in z ],
                                "scaled_magnitude": scaled_sample(det, z)}

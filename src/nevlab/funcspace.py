@@ -106,7 +106,9 @@ class RationalSlice(SliceFunction):
         return view
 
     def scale_q(self, factors):
-        return RationalSlice(self.rf.scale_vars(list(factors)))
+        # a constant keeps its instance, so its shifts share one view cache
+        return self if self.rf.is_constant() else \
+            RationalSlice(self.rf.scale_vars(list(factors)))
 
     def __repr__(self):
         return f"RationalSlice({self.rf!r})"

@@ -13,12 +13,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import SizeError, UsageError
+from .errors import NumericError, SizeError, UsageError
 from .funcspace import (CompositionSlice, ProjectiveMap, RationalSlice,
                         SliceFunction, monomials_of_degree)
 from .nevcore import (QuadratureSpec, RadialGrid, characteristic_function,
                       counting, directions_for, order_estimate, proximity)
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial, RationalFunction, try_divide
 from .rationals import GaussianRational
 from .slicing import (DeterminantLineView, MonomialDeterminantLineView,
                       _assignment_scale, _scaled_slogdet)
@@ -98,40 +98,37 @@ def qscale(h: SliceFunction, q: QShift, k: int = 1) -> SliceFunction:
 # ---------------------------------------------------------------------------
 
 def _det_rational(mat: List[List[RationalFunction]]) -> RationalFunction:
+    """Exact determinant: each row is scaled by a common multiple of its
+    denominators, then fraction-free (Bareiss 1968) elimination runs over
+    the polynomial ring, where each division by the last pivot is exact."""
     n = len(mat)
     nv = mat[0][0].nvars
-    if n == 1:
-        return mat[0][0]
-    if n <= 4:
-        # cofactor expansion along the first row
-        out = RationalFunction(Polynomial.zero(nv))
-        for j in range(n):
-            a = mat[0][j]
-            if a.is_zero():
-                continue
-            minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
-            term = a * _det_rational(minor)
-            out = out + (term if j % 2 == 0 else -term)
-        return out
-    # elimination over the rational-function field (exact)
-    m = [row[:] for row in mat]
-    det = RationalFunction.constant(1, nv)
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+    one = Polynomial.constant(1, nv)
+    a, scale = [], one
+    for row in mat:
+        mult = one
+        for e in row:
+            if try_divide(mult, e.den) is None:
+                mult = mult * e.den
+        a.append([e.num * try_divide(mult, e.den) for e in row])
+        scale = scale * mult
+    sign, prev = 1, one
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if not a[r][k].is_zero()), None)
         if piv is None:
             return RationalFunction(Polynomial.zero(nv))
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        p = m[col][col]
-        det = det * p
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            factor = m[r][col] / p
-            m[r] = [m[r][c] - factor * m[col][c] for c in range(n)]
-    return det if sign == 1 else -det
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q = try_divide(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+                if q is None:
+                    raise NumericError("inexact Bareiss division")
+                a[i][j] = q
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return RationalFunction(det if sign == 1 else -det, scale)
 
 
 class CasoratiSlice(SliceFunction):

@@ -258,3 +258,56 @@ def test_sampled_casorati_stdout_matches_golden(tmp_path, command, name,
     golden = f"golden_casorati_{command}_{name}_alpha{alpha}.json"
     with open(os.path.join(DATA, golden)) as fh:
         assert out == fh.read()
+
+
+def _rational1(num, den):
+    return {"num": {"nvars": 1, "terms": [{"exps": [e], "re": re, "im": im}
+                                          for e, re, im in num]},
+            "den": {"nvars": 1, "terms": [{"exps": [e], "re": re, "im": im}
+                                          for e, re, im in den]}}
+
+
+# maps whose Casoratians are computed exactly: (map, q, alpha)
+EXACT_MAPS = {
+    # one-variable rational components over linear denominators, two of
+    # them shared and one with a Gaussian root (4 and 5 components)
+    "rational4": ({"components": [
+        _rational1([(0, "2", "0")], [(1, "1", "0"), (0, "-3", "0")]),
+        _rational1([(1, "-1", "0"), (0, "2", "0")],
+                   [(1, "2", "0"), (0, "1", "0")]),
+        _rational1([(2, "3", "0"), (0, "-1", "0")],
+                   [(1, "1", "0"), (0, "-3", "0")]),
+        _rational1([(0, "1", "0")], [(1, "-1", "0"), (0, "1/2", "1")])]},
+        Q2, 0),
+    "rational5": ({"components": [
+        _rational1([(0, "-2", "0")], [(1, "1", "0"), (0, "2", "0")]),
+        _rational1([(1, "3", "0"), (0, "1", "0")],
+                   [(1, "1", "0"), (0, "-1", "0")]),
+        _rational1([(2, "1", "0"), (1, "-2", "0")],
+                   [(1, "3", "0"), (0, "1", "0")]),
+        _rational1([(0, "3", "0")], [(1, "1", "0"), (0, "-1", "0")]),
+        _rational1([(1, "-1", "0"), (0, "3", "0")],
+                   [(1, "2", "0"), (0, "-3", "0")])]},
+        Q2, 0),
+    # a polynomial map C^2 -> P^2 of degree 3; its degree-2 monomial
+    # Casoratian is a 6 x 6 determinant of two-variable polynomials
+    "cubic": ({"components": [
+        _poly2([((0, 0), "1", "0")]),
+        _poly2([((1, 0), "1", "0"), ((0, 1), "-1", "0")]),
+        _poly2([((0, 3), "1", "0"), ((1, 1), "2", "0")])]},
+        {"q": [["2", "0"], ["2", "0"]]}, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_MAPS))
+def test_exact_casorati_stdout_matches_golden(tmp_path, name):
+    fmap, fq, alpha = EXACT_MAPS[name]
+    mp = write(tmp_path, "map.json", fmap)
+    q = write(tmp_path, "q.json", fq)
+    code, out = run(["casorati", "--map", mp, "--q", q, "--alpha",
+                     str(alpha)])
+    assert code == 0
+    assert json.loads(out)["kind"] == "rational"
+    golden = f"golden_casorati_exact_{name}_alpha{alpha}.json"
+    with open(os.path.join(DATA, golden)) as fh:
+        assert out == fh.read()

@@ -1,18 +1,21 @@
 """q-rescaling operators, Casoratians, nondegeneracy, ratio series."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nevlab.errors import UsageError
 from nevlab.funcspace import (ProductEntireSlice, ProjectiveMap,
                               QPochhammerSpec, RationalSlice, constant_slice)
 from nevlab.nevcore import QuadratureSpec, RadialGrid
-from nevlab.polynomials import Polynomial, RationalFunction
-from nevlab.qops import (QShift, casorati, casorati_monomials, ldl_ratio,
-                         linear_nondegeneracy, q_periodic_test, qscale,
-                         shift_counting_ratio)
+from nevlab.polynomials import Polynomial, RationalFunction, try_divide
+from nevlab.qops import (QShift, _det_rational, casorati, casorati_monomials,
+                         ldl_ratio, linear_nondegeneracy, q_periodic_test,
+                         qscale, shift_counting_ratio)
+from nevlab.rationals import GaussianRational
 
 Z = Polynomial.variable(0, 1)
 Q2 = QShift([2])
@@ -43,9 +46,15 @@ def test_qscale_rational():
     assert qscale(h, Q2, 0) is h
 
 
+def test_qscale_keeps_constant_instance():
+    one = constant_slice(1, 2)
+    assert qscale(one, QShift([2, 3]), 1) is one
+    assert qscale(one, QShift([Fraction(1, 2), 5]), 3) is one
+
+
 def test_casorati_power_basis_vandermonde():
     # C(1, z, ..., z^n) = prod_{i<j} (q^j - q^i) * z^{n(n+1)/2}
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 6):
         comps = [RationalSlice(Z ** k) for k in range(n + 1)]
         det = casorati(comps, Q2)
         coeff = 1
@@ -55,6 +64,73 @@ def test_casorati_power_basis_vandermonde():
         expected = RationalFunction(
             (Z ** (n * (n + 1) // 2)).scale(coeff))
         assert det.rf == expected
+
+
+def _leibniz(mat):
+    """The determinant as the signed sum over permutations (test oracle),
+    returned as (N, D) with det = N / D: every row is multiplied by the
+    product P of the distinct denominators, so D = P^n and the sum needs
+    polynomial arithmetic only."""
+    n = len(mat)
+    p = Polynomial.constant(1, 1)
+    for den in {e.den for row in mat for e in row}:
+        p = p * den
+    rows = [[e.num * try_divide(p, e.den) for e in row] for row in mat]
+    num = Polynomial.zero(1)
+    for perm in itertools.permutations(range(n)):
+        odd = sum(perm[i] > perm[j] for i in range(n)
+                  for j in range(i + 1, n)) % 2
+        term = Polynomial.constant(-1 if odd else 1, 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        num = num + term
+    return num, p ** n
+
+
+gaussians = st.builds(lambda a, b: GaussianRational(Fraction(a, 2),
+                                                    Fraction(b, 3)),
+                      st.integers(-4, 4), st.integers(-4, 4))
+upolys = st.builds(lambda t: Polynomial(1, t), st.dictionaries(
+    st.tuples(st.integers(0, 2)), gaussians, max_size=3))
+
+
+@st.composite
+def rational_matrices(draw):
+    """n x n matrices, n <= 4, of one-variable Gaussian-rational functions
+    whose denominators come from a pool of up to three, so entries share
+    denominators or not; empty numerators give zero entries."""
+    n = draw(st.integers(1, 4))
+    dens = draw(st.lists(upolys.filter(lambda p: not p.is_zero()),
+                         min_size=1, max_size=3))
+    pick = st.integers(0, len(dens) - 1)
+    return [[RationalFunction(draw(upolys), dens[draw(pick)])
+             for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_det_rational_matches_leibniz(mat):
+    det = _det_rational(mat)
+    num, den = _leibniz(mat)
+    assert det.num * den == num * det.den
+
+
+def _rf_matrix(rows):
+    return [[e if isinstance(e, RationalFunction)
+             else RationalFunction(Polynomial.constant(e, 1)) for e in row]
+            for row in rows]
+
+
+def test_det_rational_hand_cases():
+    # the second pivot vanishes after the first step: a row swap flips sign
+    assert _det_rational(_rf_matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])) == \
+        RationalFunction.constant(-1, 1)
+    # singular: a zero column, and a last entry that eliminates to zero
+    zero = RationalFunction(Polynomial.zero(1))
+    assert _det_rational(_rf_matrix([[0, 1], [0, 2]])) == zero
+    r = RationalFunction(Z + 1, Z - 2)
+    assert _det_rational(_rf_matrix([[r, 2], [r * r, r.scale(2)]])) == zero
+    assert _det_rational([[r]]) == r
 
 
 def test_casorati_alternation_and_multilinearity():
