@@ -145,8 +145,8 @@ def _level_generators(gpolys: List[Polynomial], e: Tuple[int, ...],
         yield (base * Polynomial.monomial(mu)).terms
 
 
-def build_filtration(gammas: Sequence[HomogeneousForm], alpha: int,
-                     check_zero_dim: bool = True) -> List[FiltrationLevel]:
+def build_filtration(gammas: Sequence[HomogeneousForm],
+                     alpha: int) -> List[FiltrationLevel]:
     """Exact dims of every W_(i) and the quotient dims Delta_(i).
 
     Processing the levels in descending lex order makes the running rank
@@ -161,12 +161,11 @@ def build_filtration(gammas: Sequence[HomogeneousForm], alpha: int,
     d = _common_degree(gammas)
     if alpha < d:
         raise UsageError("alpha must be at least the common degree")
-    if check_zero_dim:
-        hs = hilbert_stabilization(gammas)
-        if hs.is_zero_dim is not True:
-            raise UsageError(
-                "the forms must cut out a zero-dimensional subvariety; "
-                f"Hilbert data: {hs.dims} ({hs.note})")
+    hs = hilbert_stabilization(gammas)
+    if hs.is_zero_dim is not True:
+        raise UsageError(
+            "the forms must cut out a zero-dimensional subvariety; "
+            f"Hilbert data: {hs.dims} ({hs.note})")
     gpolys = [g.to_polynomial() for g in gammas]
     tuples = enumerate_tuples(n, alpha, d)
     ech = SparseEchelon()

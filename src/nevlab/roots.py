@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 
+_NEWTON_STEPS = 30
+
 
 @dataclass
 class UnivariateRootMultiset:
@@ -63,9 +65,9 @@ def _derivative(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[1:] * np.arange(1, len(coeffs))
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex, steps: int = 30) -> complex:
+def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
     d = _derivative(coeffs)
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         fz = _poly_eval(coeffs, z)
         dz = _poly_eval(d, z)
         if dz == 0:

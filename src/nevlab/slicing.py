@@ -1,12 +1,21 @@
 """One-variable views of functions restricted to a complex line.
 
-A LineView represents u -> h(u*xi) for a fixed direction xi.  Views expose
-log-domain evaluation (log_values, whose real part is log|h| and whose
-imaginary part is an argument of h defined only mod 2*pi) so that
-high-degree compositions never overflow, plus certified zero/pole multisets
-inside a disk when the variant knows its divisor in closed form
-(has_closed_zeros).  Entire views without closed zeros are still countable
-downstream through the Jensen integral.
+A LineView represents u -> h(u*xi) for a fixed direction xi.  Views are
+evaluated in the log domain, so that high-degree compositions never
+overflow:
+
+- log_abs(u) is the real log|h| at the nodes u.  It is the path every
+  functional reads (T_f, N, m and the Weil sums all need only |h|), and
+  each view computes it without a complex log.
+- log_values(u) is the complex log of h: its real part is log|h| and its
+  imaginary part an argument of h defined only mod 2*pi.  Only form
+  components and determinant entries need it, because there the phases of
+  several terms are summed.
+
+Views also give certified zero/pole multisets inside a disk when the
+variant knows its divisor in closed form (has_closed_zeros).  Entire views
+without closed zeros are still countable downstream through the Jensen
+integral.
 """
 
 from __future__ import annotations
@@ -31,10 +40,14 @@ class LineView:
 
     def log_values(self, u: np.ndarray) -> np.ndarray:
         """Complex log of h at the nodes u: the real part is log|h|, the
-        imaginary part is defined only mod 2*pi."""
+        imaginary part is defined only mod 2*pi.  For form components and
+        determinant entries; magnitudes are read through log_abs."""
         raise NotImplementedError
 
     def log_abs(self, u: np.ndarray) -> np.ndarray:
+        """log|h| at the nodes u, the path every functional reads.  This
+        fallback serves views whose magnitude needs the phases of their
+        parts (forms) or that compute only a magnitude (determinants)."""
         return self.log_values(u).real
 
     def zeros(self, r: float) -> RootList:
@@ -75,6 +88,10 @@ class ConstantLineView(LineView):
             return np.full(u.shape, np.log(complex(self.value))
                            if self.value else complex("-inf"))
 
+    def log_abs(self, u):
+        with np.errstate(divide="ignore"):
+            return np.full(np.shape(u), np.log(np.abs(self.value)))
+
     def zeros(self, r):
         return []
 
@@ -82,10 +99,9 @@ class ConstantLineView(LineView):
 class RationalLineView(LineView):
     """num(u)/den(u) with double-precision coefficients (ascending)."""
 
-    def __init__(self, num: np.ndarray, den: np.ndarray, tol: float = 1e-8):
+    def __init__(self, num: np.ndarray, den: np.ndarray):
         self.num = np.asarray(num, dtype=complex)
         self.den = np.asarray(den, dtype=complex)
-        self.tol = tol
         if not np.any(self.den):
             raise UsageError("denominator vanishes identically on the line")
         self.identically_zero = not np.any(self.num)
@@ -101,11 +117,20 @@ class RationalLineView(LineView):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(nv.astype(complex)) - np.log(dv.astype(complex))
 
+    def log_abs(self, u):
+        u = np.asarray(u, dtype=complex)
+        nv = np.polynomial.polynomial.polyval(u, self.num)
+        # a constant denominator (every polynomial) costs one scalar log
+        dv = self.den[0] if len(self.den) == 1 \
+            else np.polynomial.polynomial.polyval(u, self.den)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(np.abs(nv)) - np.log(np.abs(dv))
+
     def _roots(self):
         if self._cache is None:
-            z = univariate_roots(self.num, self.tol).roots \
+            z = univariate_roots(self.num).roots \
                 if np.any(self.num) else []
-            p = univariate_roots(self.den, self.tol).roots
+            p = univariate_roots(self.den).roots
             self._cache = _cancel(list(z), list(p))
         return self._cache
 
@@ -135,9 +160,11 @@ def _nterms(qbase: complex, tail: float, lmax: float) -> int:
     return max(1, int(math.ceil(k)) + 1)
 
 
-def _pochhammer_log(qbase, ell, tail: float) -> np.ndarray:
+def _pochhammer_log(qbase, ell, tail: float,
+                    phase: bool = True) -> np.ndarray:
     """sum_{k < n} log(1 - ell * qbase^k) for an array ell of any shape,
-    with n = _nterms(max |ell|).
+    with n = _nterms(max |ell|); with phase=False only its real part,
+    log|prod|, skipping the angle pass.
 
     Consecutive factors are multiplied in chunks that take one log each.
     Every factor of a chunk starting at term k has magnitude at most
@@ -176,15 +203,17 @@ def _pochhammer_log(qbase, ell, tail: float) -> np.ndarray:
             # a subnormal product has lost its precision: read it as a zero
             mag[mag < _TINY] = 0.0
             logabs += np.sum(np.log(mag), axis=0)
-            arg += np.sum(np.angle(prods), axis=0)
-    return (logabs + 1j * arg).reshape(ell.shape)
+            if phase:
+                arg += np.sum(np.angle(prods), axis=0)
+    return (logabs + 1j * arg if phase else logabs).reshape(ell.shape)
 
 
 class PochhammerLineView(LineView):
     """u -> prod_{k>=0} (1 - (a*u + b) * qbase^k), truncated adaptively.
 
-    log_values takes one log per chunk of factors (_pochhammer_log), so its
-    imaginary part is defined only mod 2*pi.
+    Both paths take one log per chunk of factors (_pochhammer_log): log_abs
+    reads the chunk magnitudes alone, and the imaginary part of log_values
+    is defined only mod 2*pi.
     """
 
     def __init__(self, qbase: complex, a: complex, b: complex,
@@ -197,11 +226,16 @@ class PochhammerLineView(LineView):
         self.tail = tail
         if self.a == 0:
             self.identically_zero = bool(np.isneginf(
-                _pochhammer_log(self.qbase, self.b, tail).real))
+                _pochhammer_log(self.qbase, self.b, tail, phase=False)))
 
     def log_values(self, u):
         u = np.asarray(u, dtype=complex)
         return _pochhammer_log(self.qbase, self.a * u + self.b, self.tail)
+
+    def log_abs(self, u):
+        u = np.asarray(u, dtype=complex)
+        return _pochhammer_log(self.qbase, self.a * u + self.b, self.tail,
+                               phase=False)
 
     def zeros(self, r):
         """Solutions of a*u + b = qbase^{-k}, k >= 0, inside |u| <= r."""
@@ -233,11 +267,10 @@ class ProductLineView(LineView):
         self.has_closed_zeros = all(v.has_closed_zeros for v in self.views)
 
     def log_values(self, u):
-        u = np.asarray(u, dtype=complex)
-        out = np.zeros(u.shape, dtype=complex)
-        for v in self.views:
-            out = out + v.log_values(u)
-        return out
+        return sum(v.log_values(u) for v in self.views)
+
+    def log_abs(self, u):
+        return sum(v.log_abs(u) for v in self.views)
 
     def _divisor(self, r):
         z: RootList = []
@@ -266,6 +299,9 @@ class QuotientLineView(LineView):
 
     def log_values(self, u):
         return self.num.log_values(u) - self.den.log_values(u)
+
+    def log_abs(self, u):
+        return self.num.log_abs(u) - self.den.log_abs(u)
 
     def _divisor(self, r):
         z = list(self.num.zeros(r)) + list(self.den.poles(r))
@@ -343,11 +379,25 @@ class MonomialDeterminantLineView(LineView):
         """The (nodes, M, M) log matrix at the flattened nodes u."""
         flat = np.asarray(u, dtype=complex).ravel()
         M = len(self.monos)
-        logm = np.empty((flat.size, M, M), dtype=complex)
         emat = np.asarray(self.monos, dtype=float)  # (M, n1)
-        for k, row in enumerate(self.rows):
-            comp = np.stack([v.log_values(flat) for v in row], axis=1)
-            logm[:, k, :] = comp @ emat.T
+        # comp[k, :, j]: log of component j under shift k at the nodes
+        comp = np.stack([np.stack([v.log_values(flat) for v in row], axis=1)
+                         for row in self.rows])
+        # by parts: a zero or pole raised to the power 0 is 1, where the
+        # product 0 * inf would read NaN
+        fin = np.isfinite(comp.real)
+        safe = np.where(fin, comp, 0)
+        logm = np.empty((flat.size, M, M), dtype=complex)
+        for k in range(M):
+            logm[:, k, :] = safe[k] @ emat.T
+        if not np.all(fin):
+            used = (emat.T > 0).astype(float)
+            re = logm.real.transpose(1, 0, 2)  # re[k, node, I]
+            zero = np.isneginf(comp.real) @ used > 0
+            pole = np.isposinf(comp.real) @ used > 0
+            re[zero] = -np.inf
+            re[pole] = np.inf
+            re[zero & pole] = np.nan  # 0 * inf
         return logm
 
     def log_values(self, u):

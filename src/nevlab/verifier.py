@@ -6,7 +6,7 @@ report-first: a pass/fail verdict is attached only when every hypothesis
 has been machine-verified; otherwise the data is emitted without judgment
 (the inequalities only hold off exceptional radius sets that a finite grid
 cannot certify).  The o(T) error term is operationalized as a trend test:
-margin/T must not slope below a configurable floor over the top decade.
+margin/T must not slope below TREND_FLOOR over the top decade.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ class SmtReport:
     def failed_hypotheses(self) -> List[str]:
         return [k for k, (v, _) in self.hypotheses.items() if v is not True]
 
-    def margin_trend(self, floor: float = TREND_FLOOR) -> Tuple[float, bool]:
-        """Slope of margin/T over the top decade of radii; ok iff >= floor."""
+    def margin_trend(self) -> Tuple[float, bool]:
+        """Slope of margin/T over the top decade of radii; ok iff >=
+        TREND_FLOOR."""
         if not self.rows:
             return 0.0, True
         rmax = max(row.r for row in self.rows)
@@ -73,7 +74,7 @@ class SmtReport:
         if len(pts) < 2:
             return 0.0, True
         slope = fit_slope([x for x, _ in pts], [y for _, y in pts])
-        return slope, slope >= floor
+        return slope, slope >= TREND_FLOOR
 
     def verdict(self) -> Optional[bool]:
         """None in report-only mode; otherwise the inequality check."""
@@ -192,7 +193,7 @@ def verify_cartan_smt(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
 
 def _log_norm2(views, u: np.ndarray) -> np.ndarray:
     """log ||f(u xi)||_2 from component views, overflow-safe."""
-    logs = np.stack([v.log_values(u).real for v in views])
+    logs = np.stack([v.log_abs(u) for v in views])
     mx = np.max(logs, axis=0)
     mx = np.where(np.isfinite(mx), mx, 0.0)
     return mx + 0.5 * np.log(np.sum(np.exp(2 * (logs - mx)), axis=0))

@@ -9,9 +9,11 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from nevlab import cli
+from nevlab.slicing import RationalLineView
 
 POLY_Z = {"nvars": 1, "terms": [{"exps": [1], "re": "1", "im": "0"}]}
 POLY_1 = {"nvars": 1, "terms": [{"exps": [0], "re": "1", "im": "0"}]}
@@ -209,8 +211,10 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
                                      "gundersen"])
 def test_verify_stdout_matches_golden(theorem):
     # this map reaches only exact algebra and rational line views, so a
-    # change that keeps their arithmetic keeps every byte of the report;
-    # at alpha 2 its monomial Casoratian vanishes, so hypersurface runs at
+    # change that keeps their arithmetic keeps every byte of the report,
+    # and one that moves it (as reading log|h| without the complex log
+    # moved the last ulp of some rows) re-pins these files within each
+    # row's err; at alpha 2 its monomial Casoratian vanishes, so hypersurface runs at
     # alpha 1, where the report has rows and a filtration
     config = ("golden_run_alpha1.json" if theorem == "hypersurface"
               else "golden_run.json")
@@ -219,6 +223,26 @@ def test_verify_stdout_matches_golden(theorem):
     assert code == 0
     with open(os.path.join(DATA, f"golden_verify_{theorem}.stdout")) as fh:
         assert out == fh.read()
+
+
+@pytest.mark.parametrize("theorem", ["cartan", "hsmt"])
+def test_verify_reads_rational_magnitudes_without_complex_log(
+        theorem, monkeypatch):
+    # every functional of these harnesses reads log|h| through log_abs;
+    # the complex log of a rational view is only for form components and
+    # determinant entries, which this polynomial map does not reach
+    calls = []
+    original = RationalLineView.log_values
+
+    def counted(self, u):
+        calls.append(np.size(u))
+        return original(self, u)
+
+    monkeypatch.setattr(RationalLineView, "log_values", counted)
+    code, _ = run(["verify", theorem, "--config",
+                   os.path.join(DATA, "golden_run.json")])
+    assert code == 0
+    assert calls == []
 
 
 def _poly2(terms):

@@ -16,7 +16,10 @@ from nevlab.funcspace import (CompositionSlice, HomogeneousForm,
 from nevlab.nevcore import QuadratureSpec, RadialGrid, fmt_residual
 from nevlab.polynomials import Polynomial, RationalFunction
 from nevlab.rationals import GaussianRational
-from nevlab.slicing import (ConstantLineView, PochhammerLineView,
+from nevlab.slicing import (ConstantLineView, DeterminantLineView,
+                            FormCompositionLineView,
+                            MonomialDeterminantLineView, PochhammerLineView,
+                            ProductLineView, QuotientLineView,
                             RationalLineView, _assignment_scale, _nterms,
                             _pochhammer_log, _scaled_slogdet,
                             _tropical_slogdet)
@@ -341,6 +344,7 @@ def test_nonzero_constant_gets_constant_view(c, xs, us):
     assert isinstance(view, ConstantLineView)
     ref = RationalLineView([c.to_complex()], [1])
     assert view.log_values(u).tobytes() == ref.log_values(u).tobytes()
+    assert view.log_abs(u).tobytes() == ref.log_abs(u).tobytes()
     assert view.zeros(1e6) == [] and view.poles(1e6) == []
     assert not view.identically_zero
 
@@ -364,3 +368,109 @@ def test_form_composition_zero_component_gives_no_nan():
         rs = fmt_residual(f, HomogeneousForm.hyperplane([1, 1]),
                           RadialGrid((10.0, 100.0)), quad)
     assert all(math.isfinite(s.m_val) and math.isfinite(s.err) for s in rs)
+
+
+# ---------------------------------------------------------------------------
+# log_abs, the real path, against the real part of log_values
+# ---------------------------------------------------------------------------
+
+def assert_log_abs_matches(view, u):
+    """log_abs(u) equals log_values(u).real to 1e-12 relative (to
+    1 + |log|h||, since log|h| crosses 0), with the same infinities and
+    no NaN on either path."""
+    got, ref = view.log_abs(u), view.log_values(u).real
+    assert got.dtype == float and got.shape == np.shape(u)
+    assert not np.any(np.isnan(got)) and not np.any(np.isnan(ref))
+    inf = np.isinf(ref)
+    assert np.array_equal(got[inf], ref[inf])
+    assert np.all(np.isfinite(got[~inf]))
+    assert np.all(np.abs(got[~inf] - ref[~inf])
+                  <= 1e-12 * (1.0 + np.abs(ref[~inf])))
+    return got
+
+
+# (u - 1)(u + 2), zero at u = 1; (u + 1/2)(u - 3), zero at u = -1/2: both
+# vanish exactly in double precision at those nodes
+NUM = np.array([-2.0, 1.0, 1.0], dtype=complex)
+DEN = np.array([-1.5, -2.5, 1.0], dtype=complex)
+# (u; 1/2)_inf vanishes at u = 1, 2, 4, ...
+POCH = (0.5, 1.0, 0.0)
+NODES = np.array([1.0, -0.5, 2.0, 0.0, 0.3 + 0.7j, -2.5 - 1e3j, 40 + 3j])
+
+
+def _rational():
+    return RationalLineView(NUM, DEN)
+
+
+VIEWS = {
+    "constant": lambda: ConstantLineView(-1.5 + 2j),
+    "constant_zero": lambda: ConstantLineView(0),
+    "rational_constant_den": lambda: RationalLineView(NUM, [0.5 - 2j]),
+    "rational": _rational,
+    "product": lambda: ProductLineView([
+        _rational(), PochhammerLineView(*POCH), ConstantLineView(3j)]),
+    "quotient": lambda: QuotientLineView(
+        RationalLineView(NUM, [1.0]), PochhammerLineView(0.5, -2.0, 0.0)),
+    "form_composition": lambda: FormCompositionLineView(
+        [(1.0, (2, 0)), (-3 + 1j, (1, 1)), (0.5, (0, 3))],
+        [RationalLineView(NUM, [2.0]), PochhammerLineView(*POCH)]),
+    # det [[u, 1], [1, u]] = u^2 - 1 vanishes at u = 1
+    "determinant": lambda: DeterminantLineView(
+        [[RationalLineView([0, 1], [1]), ConstantLineView(1)],
+         [ConstantLineView(1), RationalLineView([0, 1], [1])]]),
+    "monomial_determinant": lambda: MonomialDeterminantLineView(
+        [[RationalLineView(NUM, [1.0]), PochhammerLineView(*POCH)],
+         [RationalLineView([1, 1, 1], [1.0]), PochhammerLineView(0.25, 3, 0)]],
+        [(1, 0), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_log_abs_matches_real_part_of_log_values(name):
+    view = VIEWS[name]()
+    got = assert_log_abs_matches(view, NODES)
+    assert_log_abs_matches(view, NODES.reshape(7, 1) * np.ones((1, 3)))
+    # nodes on a zero and on a pole read -inf and +inf, the others a finite
+    # value
+    expect = {"constant_zero": dict.fromkeys(range(len(NODES)), -np.inf),
+              "rational_constant_den": {0: -np.inf},
+              "rational": {0: -np.inf, 1: np.inf},
+              "product": {0: -np.inf, 1: np.inf, 2: -np.inf},
+              "quotient": {0: -np.inf, 1: np.inf},
+              # both components vanish at u = 1
+              "form_composition": {0: -np.inf},
+              "determinant": {0: -np.inf},
+              # every component of the first row vanishes at u = 1
+              "monomial_determinant": {0: -np.inf}}.get(name, {})
+    for i, value in expect.items():
+        assert got[i] == value
+    assert np.all(np.isfinite(np.delete(got, list(expect))))
+
+
+def test_pochhammer_log_abs_is_bitwise_real_part():
+    view = PochhammerLineView(0.3 - 0.4j, 2 - 1j, 0.5)
+    u = np.concatenate([NODES, 10.0 ** np.arange(-3, 150, 7) * (1 - 1j)])
+    assert view.log_abs(u).tobytes() == view.log_values(u).real.tobytes()
+    on_zero = PochhammerLineView(*POCH).log_abs(NODES)
+    assert on_zero.tobytes() == \
+        PochhammerLineView(*POCH).log_values(NODES).real.tobytes()
+    assert on_zero[0] == on_zero[2] == -np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                   allow_infinity=False),
+                min_size=1, max_size=6).filter(lambda c: any(c)),
+       st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                   allow_infinity=False),
+                min_size=1, max_size=4).filter(lambda c: any(c)),
+       st.lists(st.complex_numbers(max_magnitude=1e4, allow_nan=False,
+                                   allow_infinity=False),
+                min_size=1, max_size=8))
+def test_rational_log_abs_matches_on_random_views(num, den, u):
+    view = RationalLineView(num, den)
+    u = np.array(u)
+    pv = np.polynomial.polynomial.polyval
+    # 0/0 is undefined on both paths
+    assume(not np.any((pv(u, view.num) == 0) & (pv(u, view.den) == 0)))
+    assert_log_abs_matches(view, u)
