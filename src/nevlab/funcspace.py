@@ -292,7 +292,7 @@ class ProjectiveMap:
 
 
 def reduce_representation(components: Sequence[Polynomial]) -> ProjectiveMap:
-    comps = [c if isinstance(c, Polynomial) else c for c in components]
+    comps = list(components)
     if all(c.is_zero() for c in comps):
         raise UsageError("all components identically zero")
     nz = [c for c in comps if not c.is_zero()]

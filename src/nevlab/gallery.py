@@ -9,8 +9,12 @@ provenance tag saying how the expectation was obtained: "closed-form"
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
@@ -26,9 +30,10 @@ from .polynomials import Polynomial, RationalFunction
 from .qops import (QShift, casorati, ldl_ratio, linear_nondegeneracy,
                    shift_counting_ratio)
 from .verifier import (QDiffPolynomial, QDiffTerm, clunie_check,
-                       gundersen_hayman_identity, picard_check,
-                       partition_by_q_ratio, tumura_clunie_ratio,
-                       verify_cartan_smt, verify_hypersurface_smt)
+                       forward_invariance_check, gundersen_hayman_identity,
+                       partition_by_q_ratio, picard_check,
+                       tumura_clunie_ratio, verify_cartan_smt,
+                       verify_hypersurface_smt)
 
 
 @dataclass
@@ -278,7 +283,6 @@ def _case_gundersen() -> Tuple[bool, str]:
 
 
 def _case_picard() -> Tuple[bool, str]:
-    from .verifier import forward_invariance_check
     q2 = QShift([2])
     if not forward_invariance_check(_z(2, 0), QShift([2, 4])):
         return False, "coordinate hyperplane should be invariant"
@@ -403,8 +407,6 @@ def _case_hypersurface() -> Tuple[bool, str]:
 
 
 def _case_cli() -> Tuple[bool, str]:
-    import json
-    import tempfile
     from . import cli
 
     poly1 = {"nvars": 1, "terms": [{"exps": [1], "re": "1", "im": "0"}]}
@@ -491,8 +493,6 @@ def _case_cli() -> Tuple[bool, str]:
             (["partition", "--components", fcomponents, "--q", fq], 0),
             (["nev", "--fn", os.path.join(tmp, "missing.json")], 1),
         ]
-        import contextlib
-        import io
         for argv, expected in runs:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf), \

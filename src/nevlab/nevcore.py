@@ -3,6 +3,9 @@
 Every functional is computed per sampled direction xi from the exact
 one-variable theory of h(u*xi) and then averaged with unit-total-mass
 weights; for m = 1 the average degenerates to the single slice u -> h(u).
+One direction picker, `directions_for`, draws the directions for every
+functional and harness, and one weighted line sum, `_line_sum`, averages
+the per-line values over them.
 All normalizations are taken at base radius 1 (counting integrals start at
 1, characteristics subtract their value on the unit sphere), so zeros and
 poles inside the unit disk contribute mult * log r.
@@ -17,7 +20,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .funcspace import ProjectiveMap, SliceFunction, apply_form
+from .funcspace import (ProjectiveMap, RationalSlice, SliceFunction,
+                        apply_form)
 from .slicing import LineView
 
 
@@ -171,111 +175,108 @@ def _count_from_roots(roots, r: float) -> float:
 
 
 def _line_counts(view: LineView, radii: Sequence[float],
-                 n_theta: int) -> List[Tuple[float, float, float]]:
-    """(N_zero, N_pole, err) on one line at each radius; Jensen counting
-    evaluates the unit circle once for all radii."""
+                 n_theta: int) -> np.ndarray:
+    """Rows N_zero, N_pole, err on one line, one column per radius; Jensen
+    counting evaluates the unit circle once for all radii."""
     if view.identically_zero:
         raise UsageError("function vanishes identically on a sampled line")
     if view.has_closed_zeros:
-        return [(_count_from_roots(view.zeros(r), r),
-                 _count_from_roots(view.poles(r), r), 0.0) for r in radii]
+        return np.array([(_count_from_roots(view.zeros(r), r),
+                          _count_from_roots(view.poles(r), r), 0.0)
+                         for r in radii]).T
     if view.is_entire:
         # one circle per call: on all radii at once a determinant view holds
         # a (nodes, M, M) log matrix, which at M = 28 raised peak memory of
         # a hypersurface op by 11-14%
         i1, e1 = circle_mean_log(view.log_abs, 1.0, n_theta)
-        out = []
-        for r in radii:
-            ir, er = circle_mean_log(view.log_abs, r, n_theta)
-            out.append((ir - i1, 0.0, er + e1))
-        return out
+        means = [circle_mean_log(view.log_abs, r, n_theta) for r in radii]
+        return np.array([(ir - i1, 0.0, er + e1) for ir, er in means]).T
     raise NumericError(
         "line view has neither closed zeros nor entire Jensen counting")
+
+
+# ---------------------------------------------------------------------------
+# sampled lines
+# ---------------------------------------------------------------------------
+
+def directions_for(quad: QuadratureSpec, *slices: SliceFunction,
+                   f: Optional[ProjectiveMap] = None) -> DirectionSet:
+    """One direction set for every slice and the map f, shared by all terms
+    so quadrature constants cancel in differences and margins.  A direction
+    is resampled where some slice vanishes identically on its line, or
+    every component of f does."""
+    nvars = f.nvars if f is not None else slices[0].nvars
+
+    def bad(xi):
+        return (f is not None and all(c.line_view(xi).identically_zero
+                                      for c in f.components)
+                or any(h.line_view(xi).identically_zero for h in slices))
+
+    return DirectionSet.sample(nvars, quad).resample_against(bad, quad)
+
+
+def _line_sum(dirs: DirectionSet, per_line: ArrayFn):
+    """sum_k w_k * per_line(xi_k) in direction order, starting from 0.0."""
+    total = 0.0
+    for xi, w in zip(dirs.directions, dirs.weights):
+        total = total + w * per_line(xi)
+    return total
+
+
+def _samples(radii: Sequence[float], **rows) -> List[NevSample]:
+    """One NevSample per radius from per-radius rows of field values."""
+    return [NevSample(r, **{k: v[i] for k, v in rows.items()})
+            for i, r in enumerate(radii)]
 
 
 # ---------------------------------------------------------------------------
 # functionals
 # ---------------------------------------------------------------------------
 
-def directions_for(h: SliceFunction, quad: QuadratureSpec) -> DirectionSet:
-    base = DirectionSet.sample(h.nvars, quad)
-    return base.resample_against(
-        lambda xi: h.line_view(xi).identically_zero, quad)
-
-
 def counting(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
              dirs: Optional[DirectionSet] = None) -> List[NevSample]:
-    if dirs is None:
-        dirs = directions_for(h, quad)
-    views = [h.line_view(xi) for xi in dirs.directions]
-    out = [NevSample(r) for r in grid.radii]
-    for v, w in zip(views, dirs.weights):
-        counts = _line_counts(v, grid.radii, quad.n_theta)
-        for s, (nz, npole, err) in zip(out, counts):
-            s.n_zero += w * nz
-            s.n_pole += w * npole
-            s.err += w * err
-    return out
+    nz, npole, err = _line_sum(
+        dirs or directions_for(quad, h),
+        lambda xi: _line_counts(h.line_view(xi), grid.radii, quad.n_theta))
+    return _samples(grid.radii, n_zero=nz, n_pole=npole, err=err)
 
 
 def proximity(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
               dirs: Optional[DirectionSet] = None) -> List[NevSample]:
-    if dirs is None:
-        dirs = directions_for(h, quad)
-    views = [h.line_view(xi) for xi in dirs.directions]
-    out = [NevSample(r) for r in grid.radii]
-    for v, w in zip(views, dirs.weights):
-        mv, err = circle_mean_log(v.log_abs, grid.radii, quad.n_theta,
-                                  reduce=lambda a: np.maximum(a, 0.0))
-        for s, mr, er in zip(out, mv, err):
-            s.m_val += w * mr
-            s.err += w * er
-    return out
+    def per_line(xi):
+        return np.stack(circle_mean_log(
+            h.line_view(xi).log_abs, grid.radii, quad.n_theta,
+            reduce=lambda a: np.maximum(a, 0.0)))
+
+    mv, err = _line_sum(dirs or directions_for(quad, h), per_line)
+    return _samples(grid.radii, m_val=mv, err=err)
 
 
-def _map_views(f: ProjectiveMap, dirs: DirectionSet) -> List[List[LineView]]:
-    views = []
-    for xi in dirs.directions:
-        vs = [c.line_view(xi) for c in f.components]
-        if all(v.identically_zero for v in vs):
-            raise NumericError("all components vanish on a sampled line")
-        if not all(v.is_entire or v.identically_zero for v in vs):
-            raise UsageError(
-                "characteristic needs holomorphic components; reduce the map")
-        views.append(vs)
-    return views
-
-
-def _max_log(vs: Sequence[LineView], u: np.ndarray) -> np.ndarray:
-    stack = np.stack([v.log_abs(u) for v in vs if not v.identically_zero])
-    return np.max(stack, axis=0)
-
-
-def map_directions(f: ProjectiveMap, quad: QuadratureSpec) -> DirectionSet:
-    base = DirectionSet.sample(f.nvars, quad)
-
-    def bad(xi):
-        vs = [c.line_view(xi) for c in f.components]
-        return all(v.identically_zero for v in vs)
-
-    return base.resample_against(bad, quad)
+def _log_max_norm(f: ProjectiveMap, xi: np.ndarray, radii: Sequence[float],
+                  n_theta: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Circle means of log max_j |f_j(u xi)| and their errors, at radius 1
+    and then at each radius."""
+    vs = [c.line_view(xi) for c in f.components]
+    if all(v.identically_zero for v in vs):
+        raise NumericError("all components vanish on a sampled line")
+    if not all(v.is_entire or v.identically_zero for v in vs):
+        raise UsageError(
+            "characteristic needs holomorphic components; reduce the map")
+    vs = [v for v in vs if not v.identically_zero]
+    return circle_mean_log(
+        lambda u: np.max(np.stack([v.log_abs(u) for v in vs]), axis=0),
+        (1.0,) + tuple(radii), n_theta)
 
 
 def characteristic(f: ProjectiveMap, grid: RadialGrid, quad: QuadratureSpec,
                    dirs: Optional[DirectionSet] = None) -> List[NevSample]:
     """Cartan characteristic T_f(r), normalized to 0 at r = 1."""
-    if dirs is None:
-        dirs = map_directions(f, quad)
-    views = _map_views(f, dirs)
-    out = [NevSample(r) for r in grid.radii]
-    radii = (1.0,) + tuple(grid.radii)
-    for vs, w in zip(views, dirs.weights):
-        full, err = circle_mean_log(lambda u: _max_log(vs, u), radii,
-                                    quad.n_theta)
-        for s, tr, er in zip(out, full[1:], err[1:]):
-            s.t_val += w * (tr - full[0])
-            s.err += w * (er + err[0])
-    return out
+    def per_line(xi):
+        full, err = _log_max_norm(f, xi, grid.radii, quad.n_theta)
+        return np.stack([full[1:] - full[0], err[1:] + err[0]])
+
+    t, err = _line_sum(dirs or directions_for(quad, f=f), per_line)
+    return _samples(grid.radii, t_val=t, err=err)
 
 
 def characteristic_function(h: SliceFunction, grid: RadialGrid,
@@ -283,8 +284,7 @@ def characteristic_function(h: SliceFunction, grid: RadialGrid,
                             dirs: Optional[DirectionSet] = None
                             ) -> List[NevSample]:
     """T(r, h) = m(r, h) + N(r, h) for a single meromorphic function."""
-    if dirs is None:
-        dirs = directions_for(h, quad)
+    dirs = dirs or directions_for(quad, h)
     ms = proximity(h, grid, quad, dirs)
     ns = counting(h, grid, quad, dirs)
     out = []
@@ -302,51 +302,40 @@ def jensen_residual(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
     The same sampled directions feed both sides, so for rational h the
     residual is pure quadrature error.
     """
-    if dirs is None:
-        dirs = directions_for(h, quad)
-    views = [h.line_view(xi) for xi in dirs.directions]
-    out = [NevSample(r) for r in grid.radii]
-    radii = (1.0,) + tuple(grid.radii)
-    for v, w in zip(views, dirs.weights):
+    def per_line(xi):
+        v = h.line_view(xi)
         if not v.has_closed_zeros:
             raise UsageError("Jensen residual needs certified zero multisets")
-        full, err = circle_mean_log(v.log_abs, radii, quad.n_theta)
-        for s, ir, er in zip(out, full[1:], err[1:]):
-            nz = _count_from_roots(v.zeros(s.r), s.r)
-            npole = _count_from_roots(v.poles(s.r), s.r)
-            s.m_val += w * ((nz - npole) - (ir - full[0]))
-            s.err += w * (er + err[0])
-    return out
+        full, err = circle_mean_log(v.log_abs, (1.0,) + tuple(grid.radii),
+                                    quad.n_theta)
+        nz, npole, _ = _line_counts(v, grid.radii, quad.n_theta)
+        return np.stack([(nz - npole) - (full[1:] - full[0]),
+                         err[1:] + err[0]])
+
+    mv, err = _line_sum(dirs or directions_for(quad, h), per_line)
+    return _samples(grid.radii, m_val=mv, err=err)
 
 
-def fmt_residual(f: ProjectiveMap, D, grid: RadialGrid, quad: QuadratureSpec,
-                 dirs: Optional[DirectionSet] = None) -> List[NevSample]:
+def fmt_residual(f: ProjectiveMap, D, grid: RadialGrid,
+                 quad: QuadratureSpec) -> List[NevSample]:
     """m_f(r,Q) + N(r, 1/Q(f)) - d*T_f(r); bounded (O(1)), not zero."""
     df = apply_form(D, f)
-    from .funcspace import RationalSlice
     if isinstance(df, RationalSlice) and df.rf.is_zero():
         raise UsageError("map lies in the hypersurface")
-    if dirs is None:
-        dirs = map_directions(f, quad)
-    dirs = dirs.resample_against(
-        lambda xi: df.line_view(xi).identically_zero, quad)
-    views = _map_views(f, dirs)
-    dviews = [df.line_view(xi) for xi in dirs.directions]
     d = D.degree
-    out = [NevSample(r) for r in grid.radii]
-    radii = (1.0,) + tuple(grid.radii)
-    for vs, dv, w in zip(views, dviews, dirs.weights):
-        lmax, el = circle_mean_log(lambda u: _max_log(vs, u), radii,
-                                   quad.n_theta)
+
+    def per_line(xi):
+        lmax, el = _log_max_norm(f, xi, grid.radii, quad.n_theta)
+        dv = df.line_view(xi)
         idf, ed = circle_mean_log(dv.log_abs, grid.radii, quad.n_theta)
-        counts = _line_counts(dv, grid.radii, quad.n_theta)
-        for i, (s, (nz, _, en)) in enumerate(zip(out, counts), 1):
-            # m_f(r,Q) = mean log(||f||^d / |D(f)|); T normalized at 1
-            mval = d * lmax[i] - idf[i - 1]
-            tval = lmax[i] - lmax[0]
-            s.m_val += w * (mval + nz - d * tval)
-            s.err += w * (el[i] + ed[i - 1] + en + d * el[0])
-    return out
+        nz, _, en = _line_counts(dv, grid.radii, quad.n_theta)
+        # m_f(r,Q) = mean log(||f||^d / |D(f)|); T normalized at 1
+        mval, tval = d * lmax[1:] - idf, lmax[1:] - lmax[0]
+        return np.stack([mval + nz - d * tval,
+                         el[1:] + ed + en + d * el[0]])
+
+    mv, err = _line_sum(directions_for(quad, df, f=f), per_line)
+    return _samples(grid.radii, m_val=mv, err=err)
 
 
 def order_estimate(samples: Sequence[NevSample]) -> float:

@@ -189,42 +189,7 @@ class Polynomial:
                 out[e] = k
         return _raw(self.nvars, out)
 
-    def eval_complex(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape (..., nvars), complex dtype."""
-        points = np.asarray(points, dtype=complex)
-        out = np.zeros(points.shape[:-1], dtype=complex)
-        for e, c in self.terms.items():
-            term = np.full(points.shape[:-1], c.to_complex())
-            for i, ei in enumerate(e):
-                if ei:
-                    term = term * points[..., i] ** ei
-            out = out + term
-        return out
-
     # ---- line restriction ----------------------------------------------
-    def restrict_exact(self, xi: Sequence) -> "Polynomial":
-        """Exact substitution z = u * xi; returns a univariate polynomial."""
-        xs = [GaussianRational.from_value(x) for x in xi]
-        if len(xs) != self.nvars:
-            raise UsageError("direction length must equal nvars")
-        if not any(xs):
-            raise UsageError("zero direction")
-        out: dict = {}
-        for e, c in self.terms.items():
-            k = c
-            for x, ei in zip(xs, e):
-                if ei:
-                    k = k * x**ei
-            if k:
-                d = (sum(e),)
-                s = out.get(d)
-                s = k if s is None else s + k
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
-        return _raw(1, out)
-
     def restrict_numeric(self, xi: np.ndarray) -> np.ndarray:
         """Coefficients (ascending degree) of p(u*xi), double precision."""
         xi = np.asarray(xi, dtype=complex)
@@ -473,9 +438,6 @@ class RationalFunction:
     def scale_vars(self, factors) -> "RationalFunction":
         return RationalFunction(self.num.scale_vars(factors),
                                 self.den.scale_vars(factors))
-
-    def eval_complex(self, points: np.ndarray) -> np.ndarray:
-        return self.num.eval_complex(points) / self.den.eval_complex(points)
 
     def __repr__(self):
         if self.is_polynomial():

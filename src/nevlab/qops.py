@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import NumericError, SizeError, UsageError
-from .funcspace import (CompositionSlice, ProjectiveMap, RationalSlice,
+from .funcspace import (ProjectiveMap, RationalSlice,
                         SliceFunction, monomials_of_degree)
 from .nevcore import (QuadratureSpec, RadialGrid, characteristic_function,
                       counting, directions_for, order_estimate, proximity)
@@ -76,9 +76,6 @@ class QShift:
         if self.exact:
             return [e ** k for e in self.entries]
         return [v ** k for v in self._vals]
-
-    def numeric(self) -> np.ndarray:
-        return np.asarray(self._vals, dtype=complex)
 
     def __repr__(self):
         return f"QShift({self.entries!r})"
@@ -171,15 +168,14 @@ def casorati(components: Sequence[SliceFunction], q: QShift) -> SliceFunction:
     return CasoratiSlice(mat)
 
 
-def monomial_slice(f: ProjectiveMap, exps: Tuple[int, ...]) -> SliceFunction:
-    """The monomial f^I = f0^{i0} * ... * fn^{in} as a slice function."""
-    if all(c.is_rational() for c in f.components):
-        out = RationalFunction.constant(1, f.nvars)
-        for c, k in zip(f.components, exps):
-            if k:
-                out = out * c.rf ** k
-        return RationalSlice(out)
-    return CompositionSlice([(1.0 + 0j, tuple(exps))], f.components)
+def monomial_slice(f: ProjectiveMap, exps: Tuple[int, ...]) -> RationalSlice:
+    """The monomial f^I = f0^{i0} * ... * fn^{in} of a map with rational
+    components."""
+    out = RationalFunction.constant(1, f.nvars)
+    for c, k in zip(f.components, exps):
+        if k:
+            out = out * c.rf ** k
+    return RationalSlice(out)
 
 
 class MonomialCasoratiSlice(SliceFunction):
@@ -320,9 +316,7 @@ def ldl_ratio(h: SliceFunction, q: QShift, grid: RadialGrid,
         raise UsageError("the logarithmic-difference estimate is only "
                          "backed for diagonal q")
     g = qscale(h, q, 1) / h
-    dirs = directions_for(h, quad)
-    dirs = dirs.resample_against(
-        lambda xi: g.line_view(xi).identically_zero, quad)
+    dirs = directions_for(quad, h, g)
     t = characteristic_function(h, grid, quad, dirs)
     if max(s.t_val for s in t) < T_FLOOR:
         raise UsageError("T below floor: the ratio is undefined for "
@@ -338,9 +332,7 @@ def shift_counting_ratio(h: SliceFunction, q: QShift, grid: RadialGrid,
                          quad: QuadratureSpec) -> RatioSeries:
     """N(r, h(qz)) / N(r, h) per radius, counting poles."""
     hq = qscale(h, q, 1)
-    dirs = directions_for(h, quad)
-    dirs = dirs.resample_against(
-        lambda xi: hq.line_view(xi).identically_zero, quad)
+    dirs = directions_for(quad, h, hq)
     na = counting(hq, grid, quad, dirs)
     nb = counting(h, grid, quad, dirs)
     ratios = [sa.n_pole / sb.n_pole if sb.n_pole > 0 else math.nan

@@ -32,10 +32,6 @@ class UnivariateRootMultiset:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.roots)
 
-    def inside(self, r: float) -> "UnivariateRootMultiset":
-        return UnivariateRootMultiset(
-            [(a, m) for a, m in self.roots if abs(a) <= r], self.residual)
-
 
 def _strip(coeffs: np.ndarray) -> Tuple[np.ndarray, int]:
     """Drop trailing (high-degree) zeros and leading zero coefficients;

@@ -70,12 +70,6 @@ def polynomial_from_json(obj, path: str = "polynomial") -> Polynomial:
     return Polynomial(nvars, terms)
 
 
-def form_to_json(D: HomogeneousForm) -> dict:
-    out = polynomial_to_json(D.to_polynomial())
-    out["degree"] = D.degree
-    return out
-
-
 def form_from_json(obj, path: str = "form") -> HomogeneousForm:
     p = polynomial_from_json(obj, path)
     degree = obj.get("degree")
@@ -128,17 +122,6 @@ def product_entire_from_json(obj, path: str = "product") -> ProductEntireSlice:
         _fail(path, str(exc))
 
 
-def product_entire_to_json(h: ProductEntireSlice) -> dict:
-    s = h.spec
-    q = s.qbase
-    if isinstance(q, (int, Fraction)):
-        qj = [str(Fraction(q)), "0"]
-    else:
-        qj = [complex(q).real, complex(q).imag]
-    return {"qbase": qj, "linear": polynomial_to_json(s.argument),
-            "tol": s.tail}
-
-
 def component_from_json(obj, path: str = "component") -> SliceFunction:
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
@@ -170,22 +153,6 @@ def component_from_json(obj, path: str = "component") -> SliceFunction:
           "num/den, qbase, quotient, or product")
 
 
-def component_to_json(h: SliceFunction) -> dict:
-    if isinstance(h, RationalSlice):
-        if h.rf.is_polynomial():
-            return polynomial_to_json(h.rf.num)
-        return {"num": polynomial_to_json(h.rf.num),
-                "den": polynomial_to_json(h.rf.den)}
-    if isinstance(h, ProductEntireSlice):
-        return product_entire_to_json(h)
-    if isinstance(h, QuotientSlice):
-        return {"quotient": {"num": component_to_json(h.num),
-                             "den": component_to_json(h.den)}}
-    if isinstance(h, ProductSlice):
-        return {"product": [component_to_json(c) for c in h.factors]}
-    raise UsageError(f"cannot serialize {type(h).__name__}")
-
-
 def map_from_json(obj, path: str = "map") -> ProjectiveMap:
     if not isinstance(obj, dict) or "components" not in obj:
         _fail(path, "expected an object with components")
@@ -206,11 +173,6 @@ def map_from_json(obj, path: str = "map") -> ProjectiveMap:
     return f
 
 
-def map_to_json(f: ProjectiveMap) -> dict:
-    return {"components": [component_to_json(c) for c in f.components],
-            "reduce": False}
-
-
 # ---------------------------------------------------------------------------
 # rescalings, grids, quadrature
 # ---------------------------------------------------------------------------
@@ -221,10 +183,8 @@ def qshift_from_json(obj, path: str = "q") -> QShift:
     entries_json = obj["q"]
     if not isinstance(entries_json, list) or not entries_json:
         _fail(path + ".q", "expected a nonempty list of [re, im] pairs")
-    entries = []
-    for i, pair in enumerate(entries_json):
-        v = _complex_pair(pair, f"{path}.q[{i}]")
-        entries.append(v if isinstance(v, GaussianRational) else v)
+    entries = [_complex_pair(pair, f"{path}.q[{i}]")
+               for i, pair in enumerate(entries_json)]
     if not all(isinstance(e, GaussianRational) for e in entries):
         entries = [e.to_complex() if isinstance(e, GaussianRational) else e
                    for e in entries]
@@ -239,14 +199,6 @@ def qshift_from_json(obj, path: str = "q") -> QShift:
     return q
 
 
-def qshift_to_json(q: QShift) -> dict:
-    if q.exact:
-        pairs = [[str(e.re), str(e.im)] for e in q.entries]
-    else:
-        pairs = [[complex(v).real, complex(v).imag] for v in q.numeric()]
-    return {"q": pairs, "diagonal": q.diagonal}
-
-
 def grid_from_json(obj, path: str = "grid") -> RadialGrid:
     try:
         if isinstance(obj, str):
@@ -259,10 +211,6 @@ def grid_from_json(obj, path: str = "grid") -> RadialGrid:
         _fail(path, str(exc))
     _fail(path, 'expected "r0:r1:steps[:log|lin]", a radius list, '
           'or {"radii": [...]}')
-
-
-def grid_to_json(grid: RadialGrid) -> dict:
-    return {"radii": list(grid.radii)}
 
 
 def quad_from_json(obj, path: str = "quad") -> QuadratureSpec:
@@ -282,11 +230,6 @@ def quad_from_json(obj, path: str = "quad") -> QuadratureSpec:
         return QuadratureSpec(**kwargs)
     except UsageError as exc:
         _fail(path, str(exc))
-
-
-def quad_to_json(quad: QuadratureSpec) -> dict:
-    return {"lines": quad.n_lines, "theta": quad.n_theta,
-            "seed": quad.seed, "resample_limit": quad.resample_limit}
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +266,6 @@ def qdiff_from_json(obj, path: str = "qdiff"):
             factors.append((qs, e))
         terms.append(QDiffTerm(coeff, factors))
     return QDiffPolynomial(terms, nvars)
-
-
-def qdiff_to_json(P) -> dict:
-    terms = []
-    for t in P.terms:
-        from .funcspace import as_slice
-        coeff = as_slice(t.coeff, P.nvars)
-        terms.append({
-            "coeff": component_to_json(coeff),
-            "factors": [{"q": qshift_to_json(qs)["q"], "exponent": e}
-                        for qs, e in t.factors]})
-    return {"nvars": P.nvars, "terms": terms}
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ from .funcspace import (CompositionSlice, HomogeneousForm, ProjectiveMap,
                         RationalSlice, SliceFunction, apply_form,
                         check_general_position, constant_slice)
 from .filtration import filtration_report, lift_to_common_degree
-from .nevcore import (DirectionSet, NevSample, QuadratureSpec, RadialGrid,
-                      characteristic, circle_mean_log, counting,
-                      fit_slope, map_directions, order_estimate, proximity)
+from .nevcore import (NevSample, QuadratureSpec, RadialGrid, _line_sum,
+                      characteristic, characteristic_function,
+                      circle_mean_log, counting, directions_for, fit_slope,
+                      order_estimate, proximity)
 from .polynomials import Polynomial, RationalFunction, try_divide
 from .qops import (QShift, casorati, casorati_monomials, decide_nonzero,
                    q_periodic_test, qscale)
@@ -96,23 +97,6 @@ def _zero_order_hypothesis(t_samples: Sequence[NevSample]) -> Tuple[bool, str]:
     return ok, f"order estimate {zeta:.3f} (threshold {ORDER_ZERO_THRESHOLD})"
 
 
-def _resample_for(f: ProjectiveMap, extras: Sequence[SliceFunction],
-                  quad: QuadratureSpec) -> DirectionSet:
-    """One direction set, nondegenerate for the map and every extra slice,
-    shared by all terms so quadrature constants cancel in margins."""
-    base = map_directions(f, quad)
-
-    def bad(xi):
-        if all(c.line_view(xi).identically_zero for c in f.components):
-            return True
-        for h in extras:
-            if h.line_view(xi).identically_zero:
-                return True
-        return False
-
-    return base.resample_against(bad, quad)
-
-
 def _smt_setup(rep, f, forms, q, alpha: Optional[int], quad):
     """Record the shared hypotheses: general position, diagonal q, and a
     Casoratian C not identically zero (on the components, or on the
@@ -131,7 +115,7 @@ def _smt_setup(rep, f, forms, q, alpha: Optional[int], quad):
     if nd.nondegenerate is False:
         return None
     comps = [apply_form(g, f) for g in forms]
-    return C, comps, _resample_for(f, comps + [C], quad)
+    return C, comps, directions_for(quad, *comps, C, f=f)
 
 
 def _characteristic(rep, f, grid, quad, dirs) -> List[NevSample]:
@@ -228,7 +212,6 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
     subsets = _admissible_subsets(hyperplanes, n)
     log_na = [math.log(np.linalg.norm(h.coeff_vector()))
               for h in hyperplanes]
-    lhs_vals = np.zeros(len(grid.radii))
 
     def weil(cviews, hviews, u):
         # (hyperplane, radius, theta) Weil values lambda_j
@@ -241,12 +224,13 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
             np.stack([np.sum(lam[list(K)], axis=0) for K in subsets]),
             axis=0)
 
-    for xi, w in zip(dirs.directions, dirs.weights):
+    def per_line(xi):
         cviews = [c.line_view(xi) for c in f.components]
         hviews = [c.line_view(xi) for c in comps]
-        mean, _ = circle_mean_log(lambda u: weil(cviews, hviews, u),
-                                  grid.radii, quad.n_theta, reduce=best)
-        lhs_vals += w * mean
+        return circle_mean_log(lambda u: weil(cviews, hviews, u),
+                               grid.radii, quad.n_theta, reduce=best)[0]
+
+    lhs_vals = _line_sum(dirs, per_line)
     for s, nc, lhs in zip(t, n_cas, lhs_vals):
         rhs = (n + 1) * s.t_val - nc.n_zero
         rep.rows.append(SmtRow(s.r, lhs, rhs, rhs - lhs, s.err + nc.err))
@@ -303,7 +287,7 @@ def gundersen_hayman_identity(f: ProjectiveMap,
     for c in comps:
         L = L * c
     L = L / C
-    dirs = _resample_for(f, comps + [C], quad)
+    dirs = directions_for(quad, *comps, C, f=f)
     nl = counting(L, grid, quad, dirs)
     # L is the plain product, so each H_j(f) counts once whatever its degree
     sums = _n_sums(comps, [1] * len(comps), C, grid, quad, dirs)
@@ -538,14 +522,11 @@ def clunie_check(U: QDiffPolynomial, P: QDiffPolynomial, Q: QDiffPolynomial,
             structure_ok = False
             notes.append("non-diagonal rescaling in a factor")
             break
-    from .nevcore import characteristic_function, directions_for
     pw = compose_qdiff(P, w)
-    dirs = directions_for(w, quad)
-    dirs = dirs.resample_against(
-        lambda xi: pw.line_view(xi).identically_zero
-        if not _is_zero_slice(pw) else False, quad)
+    pw_zero = _is_zero_slice(pw)
+    dirs = directions_for(quad, w, *([] if pw_zero else [pw]))
     t = characteristic_function(w, grid, quad, dirs)
-    if _is_zero_slice(pw):
+    if pw_zero:
         ratios = [0.0] * len(grid.radii)
     else:
         mp = proximity(pw, grid, quad, dirs)
@@ -586,14 +567,11 @@ def tumura_clunie_ratio(G: QDiffPolynomial, f: SliceFunction,
     """Ratio N(r, 1/G(., f)) / T_f(r), predicted to stay away from 0 when
     N(r, 1/f) + N(r, f) = o(T_f(r)).  The hypothesis is tested as a decay
     trend on the grid; when it fails the report carries no verdict."""
-    from .nevcore import characteristic_function, directions_for
     notes = []
     gf = compose_qdiff(G, f)
     if _is_zero_slice(gf):
         raise UsageError("G(., f) is identically zero")
-    dirs = directions_for(f, quad)
-    dirs = dirs.resample_against(
-        lambda xi: gf.line_view(xi).identically_zero, quad)
+    dirs = directions_for(quad, f, gf)
     t = characteristic_function(f, grid, quad, dirs)
     nf = counting(f, grid, quad, dirs)
     hyp = [(s.n_zero + s.n_pole) / st.t_val if st.t_val > 1e-9 else math.inf

@@ -1,0 +1,132 @@
+"""Oracles the tests check nevlab against; nevlab itself never calls them.
+
+Exact line restriction and pointwise complex evaluation of polynomials, and
+JSON writers for the objects that `nevlab.serialize` reads (only
+`polynomial_to_json` stays in nevlab, for the CLI's determinant output).
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from nevlab.errors import UsageError
+from nevlab.funcspace import (HomogeneousForm, ProductEntireSlice,
+                              ProductSlice, ProjectiveMap, QuotientSlice,
+                              RationalSlice, SliceFunction, as_slice)
+from nevlab.nevcore import QuadratureSpec, RadialGrid
+from nevlab.polynomials import Polynomial, RationalFunction
+from nevlab.qops import QShift
+from nevlab.rationals import GaussianRational
+from nevlab.serialize import polynomial_to_json
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+# ---------------------------------------------------------------------------
+
+def restrict_exact(p: Polynomial, xi) -> Polynomial:
+    """Exact substitution z = u * xi; returns a univariate polynomial."""
+    xs = [GaussianRational.from_value(x) for x in xi]
+    if len(xs) != p.nvars:
+        raise UsageError("direction length must equal nvars")
+    if not any(xs):
+        raise UsageError("zero direction")
+    out: dict = {}
+    for e, c in p.terms.items():
+        k = c
+        for x, ei in zip(xs, e):
+            if ei:
+                k = k * x**ei
+        d = (sum(e),)
+        out[d] = k if d not in out else out[d] + k
+    return Polynomial(1, out)
+
+
+def eval_complex(p, points) -> np.ndarray:
+    """A Polynomial or RationalFunction at points of shape (..., nvars)."""
+    if isinstance(p, RationalFunction):
+        return eval_complex(p.num, points) / eval_complex(p.den, points)
+    points = np.asarray(points, dtype=complex)
+    out = np.zeros(points.shape[:-1], dtype=complex)
+    for e, c in p.terms.items():
+        term = np.full(points.shape[:-1], c.to_complex())
+        for i, ei in enumerate(e):
+            if ei:
+                term = term * points[..., i] ** ei
+        out = out + term
+    return out
+
+
+def qshift_numeric(q: QShift) -> np.ndarray:
+    """The entries of q in double precision."""
+    return np.array([e.to_complex() if isinstance(e, GaussianRational)
+                     else complex(e) for e in q.entries])
+
+
+# ---------------------------------------------------------------------------
+# JSON writers, inverse to the nevlab.serialize readers
+# ---------------------------------------------------------------------------
+
+def form_to_json(D: HomogeneousForm) -> dict:
+    out = polynomial_to_json(D.to_polynomial())
+    out["degree"] = D.degree
+    return out
+
+
+def product_entire_to_json(h: ProductEntireSlice) -> dict:
+    s = h.spec
+    q = s.qbase
+    if isinstance(q, (int, Fraction)):
+        qj = [str(Fraction(q)), "0"]
+    else:
+        qj = [complex(q).real, complex(q).imag]
+    return {"qbase": qj, "linear": polynomial_to_json(s.argument),
+            "tol": s.tail}
+
+
+def component_to_json(h: SliceFunction) -> dict:
+    if isinstance(h, RationalSlice):
+        if h.rf.is_polynomial():
+            return polynomial_to_json(h.rf.num)
+        return {"num": polynomial_to_json(h.rf.num),
+                "den": polynomial_to_json(h.rf.den)}
+    if isinstance(h, ProductEntireSlice):
+        return product_entire_to_json(h)
+    if isinstance(h, QuotientSlice):
+        return {"quotient": {"num": component_to_json(h.num),
+                             "den": component_to_json(h.den)}}
+    if isinstance(h, ProductSlice):
+        return {"product": [component_to_json(c) for c in h.factors]}
+    raise UsageError(f"cannot serialize {type(h).__name__}")
+
+
+def map_to_json(f: ProjectiveMap) -> dict:
+    return {"components": [component_to_json(c) for c in f.components],
+            "reduce": False}
+
+
+def qshift_to_json(q: QShift) -> dict:
+    if q.exact:
+        pairs = [[str(e.re), str(e.im)] for e in q.entries]
+    else:
+        pairs = [[v.real, v.imag] for v in qshift_numeric(q)]
+    return {"q": pairs, "diagonal": q.diagonal}
+
+
+def grid_to_json(grid: RadialGrid) -> dict:
+    return {"radii": list(grid.radii)}
+
+
+def quad_to_json(quad: QuadratureSpec) -> dict:
+    return {"lines": quad.n_lines, "theta": quad.n_theta,
+            "seed": quad.seed, "resample_limit": quad.resample_limit}
+
+
+def qdiff_to_json(P) -> dict:
+    terms = []
+    for t in P.terms:
+        terms.append({
+            "coeff": component_to_json(as_slice(t.coeff, P.nvars)),
+            "factors": [{"q": qshift_to_json(qs)["q"], "exponent": e}
+                        for qs, e in t.factors]})
+    return {"nvars": P.nvars, "terms": terms}

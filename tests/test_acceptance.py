@@ -27,6 +27,7 @@ from nevlab.verifier import (QDiffPolynomial, QDiffTerm,
                              gundersen_hayman_identity, partition_by_q_ratio,
                              picard_check, tumura_clunie_ratio,
                              verify_cartan_smt, verify_hypersurface_smt)
+from oracles import eval_complex, qshift_numeric
 
 Z = Polynomial.variable(0, 1)
 Z1 = Polynomial.variable(0, 2)
@@ -236,14 +237,14 @@ def orbit_rank_dependent(comps, q, rng):
     field iff the orbit matrix F[k, i] = f_i(q^k z0) is rank deficient at
     generic points (invariant coefficients are constant along an orbit)."""
     k = len(comps)
-    qv = q.numeric()
+    qv = qshift_numeric(q)
     for _ in range(5):
         z0 = rng.standard_normal(comps[0].nvars) \
             + 1j * rng.standard_normal(comps[0].nvars)
         rows = []
         for s in range(k + 2):
             z = z0 * qv ** s
-            rows.append([complex(c.rf.eval_complex(z)) for c in comps])
+            rows.append([complex(eval_complex(c.rf, z)) for c in comps])
         m = np.array(rows)
         sv = np.linalg.svd(m, compute_uv=False)
         if sv[-1] > 1e-8 * sv[0]:

@@ -12,13 +12,14 @@ from nevlab.funcspace import (ProductEntireSlice, ProductSlice,
 from nevlab.nevcore import (DirectionSet, NevSample, QuadratureSpec,
                             RadialGrid, characteristic,
                             characteristic_function, circle_mean_log, counting,
-                            fit_slope, jensen_residual, order_estimate,
-                            proximity)
+                            _line_sum, directions_for, fit_slope,
+                            jensen_residual, order_estimate, proximity)
 from nevlab.funcspace import SliceFunction
 from nevlab.polynomials import Polynomial, RationalFunction
 from nevlab.slicing import LineView
 
 Z = Polynomial.variable(0, 1)
+X2, Y2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
 QUAD = QuadratureSpec(n_lines=8, n_theta=128, seed=1)
 
 
@@ -45,6 +46,108 @@ def test_direction_weights_sum_to_one():
         ds = DirectionSet.sample(m, QuadratureSpec(n_lines=16, seed=4))
         assert abs(ds.weights.sum() - 1.0) < 1e-12
         assert np.allclose(np.linalg.norm(ds.directions, axis=1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the direction picker: which sampled lines are resampled
+# ---------------------------------------------------------------------------
+
+RESAMPLE_QUAD = QuadratureSpec(n_lines=4, n_theta=64, seed=3)
+ON_X2_AXIS = np.array([0.0, 1.0], dtype=complex)  # z1 = 0 on this line
+
+
+def _draw_with(monkeypatch, rows):
+    """Make DirectionSet.sample return its usual draw for RESAMPLE_QUAD with
+    the given rows replaced; returns that draw."""
+    base = DirectionSet.sample(2, RESAMPLE_QUAD)
+    for i, xi in rows.items():
+        base.directions[i] = xi
+    monkeypatch.setattr(DirectionSet, "sample",
+                        classmethod(lambda cls, m, quad: base))
+    return base
+
+
+def _replaced_rows(got, base):
+    assert np.array_equal(got.weights, base.weights)
+    return [i for i, (a, b) in enumerate(zip(got.directions, base.directions))
+            if a.tobytes() != b.tobytes()]
+
+
+def test_direction_where_a_slice_vanishes_is_replaced(monkeypatch):
+    h = RationalSlice(X2)
+    base = _draw_with(monkeypatch, {1: ON_X2_AXIS})
+    got = directions_for(RESAMPLE_QUAD, h)
+    assert _replaced_rows(got, base) == [1]
+    assert not h.line_view(got.directions[1]).identically_zero
+
+
+def test_direction_where_every_map_component_vanishes_is_replaced(
+        monkeypatch):
+    base = _draw_with(monkeypatch, {2: ON_X2_AXIS})
+    f = ProjectiveMap([RationalSlice(X2), RationalSlice(X2 * X2)])
+    got = directions_for(RESAMPLE_QUAD, f=f)
+    assert _replaced_rows(got, base) == [2]
+    # one component left nonzero on the line keeps the direction
+    g = ProjectiveMap([RationalSlice(X2), RationalSlice(Y2)])
+    assert _replaced_rows(directions_for(RESAMPLE_QUAD, f=g), base) == []
+
+
+def test_directions_for_is_one_pass_of_the_combined_predicate(monkeypatch):
+    h, g = RationalSlice(X2 - Y2), RationalSlice(Y2)
+    f = ProjectiveMap([RationalSlice(X2), RationalSlice(X2 * Y2)])
+    diagonal = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    on_x1_axis = np.array([1.0, 0.0], dtype=complex)
+    base = _draw_with(monkeypatch, {0: ON_X2_AXIS, 1: diagonal,
+                                    3: on_x1_axis})
+
+    def bad(xi):
+        return (all(c.line_view(xi).identically_zero for c in f.components)
+                or h.line_view(xi).identically_zero
+                or g.line_view(xi).identically_zero)
+
+    want = base.resample_against(bad, RESAMPLE_QUAD)
+    got = directions_for(RESAMPLE_QUAD, h, g, f=f)
+    assert _replaced_rows(got, base) == [0, 1, 3]
+    assert got.directions.tobytes() == want.directions.tobytes()
+
+
+def test_degenerate_single_slice_raises():
+    with pytest.raises(NumericError):
+        directions_for(QUAD, constant_slice(0, 1))
+
+
+def test_always_bad_predicate_raises_after_resample_limit():
+    quad = QuadratureSpec(n_lines=4, n_theta=64, seed=3, resample_limit=5)
+    calls = []
+
+    def bad(xi):
+        calls.append(xi)
+        return True
+
+    with pytest.raises(NumericError):
+        DirectionSet.sample(2, quad).resample_against(bad, quad)
+    assert len(calls) == quad.resample_limit + 1
+    with pytest.raises(NumericError):
+        directions_for(quad, constant_slice(0, 2))
+
+
+def test_line_sum_is_the_per_direction_accumulation_bitwise():
+    # the loop every functional ran before: s.x += w * value, from 0.0
+    rng = np.random.default_rng(6)
+    base = DirectionSet.sample(2, QuadratureSpec(n_lines=16, seed=6))
+    w = rng.random(16)
+    dirs = DirectionSet(base.directions, w / w.sum())
+    rows = {xi.tobytes(): rng.standard_normal((3, 5)) * 10.0 ** rng.integers(
+        -8, 8, (3, 5)) for xi in dirs.directions}
+    got = _line_sum(dirs, lambda xi: rows[xi.tobytes()])
+    want = np.zeros((3, 5))
+    for j in range(3):
+        for i in range(5):
+            acc = 0.0
+            for xi, wk in zip(dirs.directions, dirs.weights):
+                acc += wk * rows[xi.tobytes()][j, i]
+            want[j, i] = acc
+    assert got.tobytes() == want.tobytes()
 
 
 def test_counting_closed_form():
@@ -191,7 +294,6 @@ def _pochhammer():
     return ProductEntireSlice(QPochhammerSpec(0.5, Z))
 
 
-X2, Y2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
 # (map, radii, whether a node of some circle is a common zero)
 BATCH_CASES = {
     "rational_2d": (ProjectiveMap([

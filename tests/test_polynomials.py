@@ -7,6 +7,7 @@ from nevlab.errors import UsageError
 from nevlab.polynomials import (Polynomial, RationalFunction, poly_gcd,
                                 try_divide)
 from nevlab.rationals import ONE, GaussianRational
+from oracles import restrict_exact
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 coeffs = st.builds(GaussianRational, fracs, fracs)
@@ -108,8 +109,8 @@ def test_restriction_commutes_with_product(abxi):
     a, b, xi = abxi
     if all(x.is_zero() for x in xi):
         xi = tuple([GaussianRational(1, 0)] + list(xi[1:]))
-    assert (a * b).restrict_exact(xi) == \
-        a.restrict_exact(xi) * b.restrict_exact(xi)
+    assert restrict_exact(a * b, xi) == \
+        restrict_exact(a, xi) * restrict_exact(b, xi)
 
 
 def test_rational_reduction():

@@ -31,12 +31,6 @@ def test_multiplicity_clustering():
     assert rs.total_multiplicity() == 4
 
 
-def test_inside_filter():
-    rs = univariate_roots(coeffs_from_roots([0.5, 5.0, 50.0]))
-    assert rs.inside(10.0).total_multiplicity() == 2
-    assert rs.inside(1.0).total_multiplicity() == 1
-
-
 def test_root_at_origin():
     rs = univariate_roots(np.array([0.0, 0.0, 3.0 + 0j]))
     assert rs.roots[0] == (0j, 2)

@@ -12,14 +12,13 @@ from nevlab.polynomials import Polynomial, RationalFunction
 from nevlab.qops import QShift
 from nevlab.rationals import GaussianRational
 from nevlab.serialize import (SCHEMA_VERSION, component_from_json,
-                              component_to_json, form_from_json, form_to_json,
-                              grid_from_json, grid_to_json, map_from_json,
-                              map_to_json, polynomial_from_json,
-                              polynomial_to_json, qdiff_from_json,
-                              qdiff_to_json, qshift_from_json, qshift_to_json,
-                              quad_from_json, quad_to_json,
-                              run_config_from_json)
+                              form_from_json, grid_from_json, map_from_json,
+                              polynomial_from_json, polynomial_to_json,
+                              qdiff_from_json, qshift_from_json,
+                              quad_from_json, run_config_from_json)
 from nevlab.verifier import QDiffPolynomial, QDiffTerm
+from oracles import (component_to_json, form_to_json, grid_to_json,
+                     map_to_json, qdiff_to_json, qshift_to_json, quad_to_json)
 
 Z = Polynomial.variable(0, 1)
 
