@@ -21,7 +21,7 @@ from .nevcore import (QuadratureSpec, RadialGrid, characteristic_function,
 from .polynomials import Polynomial, RationalFunction, try_divide
 from .rationals import GaussianRational
 from .slicing import (DeterminantLineView, MonomialDeterminantLineView,
-                      _assignment_scale, _scaled_slogdet)
+                      _tropical_slogdet)
 
 
 MONOMIAL_CAP = 64
@@ -131,7 +131,7 @@ def _det_rational(mat: List[List[RationalFunction]]) -> RationalFunction:
 class CasoratiSlice(SliceFunction):
     """Determinant of a matrix of slice functions, log-domain only.
 
-    Only |det| is available along a line (row-scaled slogdet), which is
+    Only |det| is available along a line (dual-scaled slogdet), which is
     what the counting and proximity integrals consume.
     """
 
@@ -239,12 +239,14 @@ def scaled_sample(det: SliceFunction, z: np.ndarray) -> float:
     """|det| at the point z, which is the node u = 1 on the line through
     z, relative to the largest single permutation term of its matrix (in
     [0, n^{n/2}]): a scale-free magnitude for deciding whether a sampled
-    Casoratian vanishes there."""
+    Casoratian vanishes there.  It is |det exp(a - u - v)| for the
+    assignment duals (u, v) of the log matrix a, whose sum is the log of
+    that largest term."""
     logm = det.line_view(z).log_matrix(np.ones(1))[0]
-    lv = _scaled_slogdet(logm)
-    scale = _assignment_scale(logm)
-    return 0.0 if lv.real == float("-inf") else \
-        float(np.exp(min(lv.real - scale, 200.0)))
+    u, v = _tropical_slogdet(logm)
+    with np.errstate(under="ignore"):
+        return float(abs(np.linalg.det(
+            np.exp(logm - u[:, None] - v[None, :]))))
 
 
 def decide_nonzero(det: SliceFunction, m: int,

@@ -407,76 +407,61 @@ class MonomialDeterminantLineView(LineView):
         raise UsageError("determinant view has no closed-form zero set")
 
 
-def _assignment_scale(a: np.ndarray) -> float:
-    """Optimal-assignment sum of Re(a): the log magnitude of the largest
-    single permutation term of det exp(a), a sharp scale for deciding
-    whether the determinant is negligible relative to its entries."""
-    from scipy.optimize import linear_sum_assignment
+def _tropical_slogdet(logm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Optimal-assignment duals (u, v), each of shape (..., n), of stacked
+    (..., n, n) log matrices: u_k + v_l >= Re logm[k, l] with equality
+    along a maximum-weight matching, so sum(u) + sum(v) is the tropical
+    determinant (the log magnitude of the largest single permutation term)
+    and exp(logm - u - v) has every entry of magnitude <= 1 and magnitude 1
+    on a full transversal (Gaubert & Sharify 2009).
 
-    w = np.where(np.isfinite(a.real), a.real, -1e300)
-    rows, cols = linear_sum_assignment(-w)
-    return float(w[rows, cols].sum())
-
-
-def _tropical_slogdet(a: np.ndarray) -> complex:
-    """log|det exp(a)| for one n x n log matrix via assignment scaling.
-
-    The optimal-assignment duals (u, v) satisfy u_k + v_l >= Re a[k,l]
-    with equality along the matching, so exp(a - u - v) has every entry
-    of magnitude <= 1 and magnitude 1 on a full transversal: no row or
-    column can underflow, whatever the grading of the original entries.
+    One assignment is solved per matrix; the duals then come from one
+    longest-path iteration over the whole stack,
+    v_l >= v_{sigma(k)} + (w[k, l] - w[k, sigma(k)]), in which each matrix
+    stops at the first round that moves none of its v by more than 1e-9.
     """
     from scipy.optimize import linear_sum_assignment
 
-    n = a.shape[0]
-    w = np.where(np.isfinite(a.real), a.real, -1e300)
-    rows, cols = linear_sum_assignment(-w)
-    sigma = np.empty(n, dtype=int)
-    sigma[rows] = cols
-    diag = w[np.arange(n), sigma]
-    # duals by longest paths: v_l >= v_{sigma(k)} + (w[k,l] - w[k,sigma(k)])
-    d = w - diag[:, None]
-    v = np.zeros(n)
+    a = np.asarray(logm)
+    n = a.shape[-1]
+    w = np.where(np.isfinite(a.real), a.real, -1e300).reshape(-1, n, n)
+    # sigma[i, k]: the column matched to row k (rows come back in order)
+    sigma = np.array([linear_sum_assignment(-wi)[1] for wi in w],
+                     dtype=int).reshape(w.shape[:2])
+    diag = np.take_along_axis(w, sigma[:, :, None], axis=2)[:, :, 0]
+    d = w - diag[:, :, None]
+    v = np.zeros(w.shape[:2])
+    # the matrices still iterating, with their rows of sigma and d
+    live, sg, dl = np.arange(len(w)), sigma, d
     for _ in range(n + 1):
-        vn = np.maximum(v, np.max(v[sigma][:, None] + d, axis=0))
-        if np.all(vn - v <= 1e-9):
+        vl = v[live]
+        vn = np.maximum(vl, np.max(
+            np.take_along_axis(vl, sg, axis=1)[:, :, None] + dl, axis=1))
+        moved = np.any(vn - vl > 1e-9, axis=1)
+        if not moved.all():
+            live, sg, dl, vn = live[moved], sg[moved], dl[moved], vn[moved]
+        v[live] = vn
+        if not live.size:
             break
-        v = vn
-    u = diag - v[sigma]
-    with np.errstate(under="ignore"):
-        sign, logabs = np.linalg.slogdet(np.exp(a - u[:, None] - v[None, :]))
-    if sign == 0:
-        return complex("-inf")
-    return complex(logabs + u.sum() + v.sum())
+    u = diag - np.take_along_axis(v, sigma, axis=1)
+    return u.reshape(a.shape[:-1]), v.reshape(a.shape[:-1])
 
 
 def _scaled_slogdet(logm: np.ndarray) -> np.ndarray:
-    """log|det exp(logm)| for stacked (..., n, n) log matrices, with row
-    and column scaling so no row or column underflows to zero; strongly
-    graded matrices fall back to assignment-based scaling per node."""
-    rowmax = np.max(logm.real, axis=-1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    l2 = logm - rowmax
-    colmax = np.max(l2.real, axis=-2, keepdims=True)
-    colmax = np.where(np.isfinite(colmax), colmax, 0.0)
+    """log|det exp(logm)| for stacked (..., n, n) log matrices, -inf where
+    the determinant vanishes: one slogdet of the dual-scaled matrices
+    exp(logm - u - v), whose entries lie in the unit disk, so no row or
+    column underflows whatever the grading, plus sum(u) + sum(v)."""
+    u, v = _tropical_slogdet(logm)
     with np.errstate(under="ignore"):
-        sign, logabs = np.linalg.slogdet(np.exp(l2 - colmax))
-    out = np.asarray(logabs + np.sum(rowmax, axis=(-1, -2))
-                     + np.sum(colmax, axis=(-1, -2)), dtype=complex)
-    out = np.where(np.asarray(sign) == 0, complex("-inf"), out)
-    out = np.atleast_1d(out)
-    redo = np.atleast_1d((np.asarray(sign) == 0) | (np.asarray(logabs) < -300.0))
-    if np.any(redo):
-        flat = logm.reshape(-1, *logm.shape[-2:])
-        oflat = out.reshape(-1)
-        for i in np.nonzero(redo.reshape(-1))[0]:
-            oflat[i] = _tropical_slogdet(flat[i])
-        out = oflat.reshape(redo.shape)
-    return out.reshape(np.asarray(logm).shape[:-2])
+        sign, logabs = np.linalg.slogdet(
+            np.exp(logm - u[..., :, None] - v[..., None, :]))
+    out = logabs + np.sum(u, axis=-1) + np.sum(v, axis=-1)
+    return np.where(sign == 0, complex("-inf"), out.astype(complex))
 
 
 class DeterminantLineView(LineView):
-    """|det| of a matrix of views, via row-scaled slogdet.
+    """|det| of a matrix of views, via the dual-scaled slogdet.
 
     Only the magnitude is defined (slogdet drops the phase); log_values
     returns log|det| with zero imaginary part, which is all the counting

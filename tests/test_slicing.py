@@ -20,9 +20,9 @@ from nevlab.slicing import (ConstantLineView, DeterminantLineView,
                             FormCompositionLineView,
                             MonomialDeterminantLineView, PochhammerLineView,
                             ProductLineView, QuotientLineView,
-                            RationalLineView, _assignment_scale, _nterms,
-                            _pochhammer_log, _scaled_slogdet,
-                            _tropical_slogdet)
+                            RationalLineView, _nterms, _pochhammer_log,
+                            _scaled_slogdet, _tropical_slogdet)
+import nevlab.slicing as slicing
 from oracles import eval_complex
 
 
@@ -40,14 +40,58 @@ def test_scaled_slogdet_matches_reference():
         assert abs(got.real - logdet_reference(a)) < 1e-9
 
 
+def graded(rng, n, step):
+    """A log matrix whose entries span about step * n**2 nats."""
+    g = np.arange(n, dtype=float)
+    return (step * g[:, None] * g[None, :] + rng.standard_normal((n, n))
+            + 1j * rng.standard_normal((n, n)))
+
+
 def test_scaled_slogdet_batched():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 4, 5, 5)) + 0j
+    # graded and singular members: their duals take more rounds to settle
+    a[1, 2] = graded(rng, 5, 40.0)
+    a[2, 0] = graded(rng, 5, -60.0)
+    a[2, 3, 1] = -np.inf
     got = _scaled_slogdet(a)
     assert got.shape == (3, 4)
     for i in range(3):
         for j in range(4):
-            assert abs(got[i, j].real - logdet_reference(a[i, j])) < 1e-9
+            # the stacked pass equals one call per matrix, bit for bit
+            assert got[i, j].tobytes() == _scaled_slogdet(a[i, j]).tobytes()
+            if (i, j) != (2, 3):
+                assert abs(got[i, j].real - brute_force_logdet(a[i, j])) \
+                    < 1e-9 * max(1.0, abs(got[i, j].real))
+    assert got[2, 3].real == float("-inf")
+
+
+def test_scaled_slogdet_solves_a_stack_in_one_call(monkeypatch):
+    calls = []
+    tropical = slicing._tropical_slogdet
+
+    def counted(logm):
+        calls.append(np.shape(logm))
+        return tropical(logm)
+
+    monkeypatch.setattr(slicing, "_tropical_slogdet", counted)
+    rng = np.random.default_rng(5)
+    a = np.stack([graded(rng, 8, 50.0) for _ in range(12)])
+    got = _scaled_slogdet(a)
+    assert calls == [a.shape]
+    assert np.all(np.isfinite(got.real))
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 15])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.0])
+def test_scaled_slogdet_vandermonde(n, s):
+    # a_kl = -s*k*l is the log of the Vandermonde matrix of x_k = e^{-s k},
+    # whose |det| = prod_{i<j} |x_j - x_i| spans hundreds of nats
+    k = np.arange(n, dtype=float)
+    a = -s * np.multiply.outer(k, k) + 0j
+    ref = sum(math.log(abs(math.expm1(-s * (j - i)))) - s * i
+              for i in range(n) for j in range(i + 1, n))
+    assert abs(_scaled_slogdet(a).real - ref) < 1e-9
 
 
 def brute_force_logdet(a):
@@ -70,37 +114,74 @@ def brute_force_logdet(a):
 def test_graded_matrix_resolved():
     # entries spanning thousands of nats in magnitude: the plain product
     # representation under/overflows, the assignment-dual scaling does not
-    rng = np.random.default_rng(2)
-    n = 7
-    g = np.arange(n, dtype=float)
-    a = (g[:, None] * g[None, :] * 200.0
-         + rng.standard_normal((n, n))
-         + 1j * rng.standard_normal((n, n)))
+    a = graded(np.random.default_rng(2), 7, 200.0)
     got = _scaled_slogdet(a[None, ...])[0]
     ref = brute_force_logdet(a)
     assert np.isfinite(got.real)
     assert abs(got.real - ref) < 1e-6 * abs(ref)
 
 
+def best_assignment(w):
+    """(largest sum of w over a permutation, every permutation reaching
+    it to 1e-12), by enumeration."""
+    from itertools import permutations
+    idx = np.arange(len(w))
+    sums = {p: w[idx, list(p)].sum() for p in permutations(range(len(w)))}
+    top = max(sums.values())
+    return top, [p for p, t in sums.items() if t >= top - 1e-12]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.booleans(),
+       st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+def test_tropical_duals_match_brute_force_assignment(n, k, cplx, holes,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, n, n)) * rng.uniform(0.1, 30.0)
+    if cplx:
+        a = a + 1j * rng.standard_normal((k, n, n))
+    # entries at -inf off one transversal, which keeps the optimum finite
+    keep = np.zeros((k, n, n), dtype=bool)
+    for m in range(k):
+        keep[m, np.arange(n), rng.permutation(n)] = True
+    a[~keep & (rng.uniform(size=(k, n, n)) < holes)] = -np.inf
+    u, v = _tropical_slogdet(a)
+    assert u.shape == v.shape == (k, n)
+    for m in range(k):
+        w = a[m].real
+        top, best = best_assignment(w)
+        assert abs(u[m].sum() + v[m].sum() - top) < 1e-9
+        slack = u[m][:, None] + v[m][None, :] - w
+        assert np.all(slack[np.isfinite(w)] >= -1e-9)
+        for p in best:
+            assert np.all(np.abs(slack[np.arange(n), list(p)]) < 1e-9)
+
+
 def test_tropical_slogdet_agrees_on_moderate_input():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert abs(_tropical_slogdet(a).real - logdet_reference(a)) < 1e-9
+        u, v = _tropical_slogdet(a)
+        scaled = np.exp(a - u[:, None] - v[None, :])
+        assert np.all(np.abs(scaled) <= 1.0 + 1e-12)
+        ld = np.linalg.slogdet(scaled)[1] + u.sum() + v.sum()
+        assert abs(ld - logdet_reference(a)) < 1e-9
+        assert abs(_scaled_slogdet(a).real - logdet_reference(a)) < 1e-9
 
 
 def test_tropical_slogdet_singular():
     a = np.log(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
-    assert _tropical_slogdet(a).real == float("-inf")
+    assert _scaled_slogdet(a).real == float("-inf")
 
 
 def test_assignment_scale_dominates_det():
-    # the optimal assignment is the largest single permutation term, so
+    # sum(u) + sum(v) is the largest single permutation term, so
     # log|det| <= scale + log(n!)
     rng = np.random.default_rng(4)
     for _ in range(10):
         a = rng.standard_normal((5, 5)) * 3.0 + 0j
-        scale = _assignment_scale(a)
+        u, v = _tropical_slogdet(a)
+        scale = u.sum() + v.sum()
         ld = _scaled_slogdet(a).real
         assert ld <= scale + math.log(math.factorial(5)) + 1e-9
 
