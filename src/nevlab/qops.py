@@ -21,7 +21,7 @@ from .nevcore import (QuadratureSpec, RadialGrid, characteristic_function,
 from .polynomials import Polynomial, RationalFunction, try_divide
 from .rationals import GaussianRational
 from .slicing import (DeterminantLineView, MonomialDeterminantLineView,
-                      _tropical_slogdet)
+                      _dual_slogdet)
 
 
 MONOMIAL_CAP = 64
@@ -239,14 +239,9 @@ def scaled_sample(det: SliceFunction, z: np.ndarray) -> float:
     """|det| at the point z, which is the node u = 1 on the line through
     z, relative to the largest single permutation term of its matrix (in
     [0, n^{n/2}]): a scale-free magnitude for deciding whether a sampled
-    Casoratian vanishes there.  It is |det exp(a - u - v)| for the
-    assignment duals (u, v) of the log matrix a, whose sum is the log of
-    that largest term."""
+    Casoratian vanishes there."""
     logm = det.line_view(z).log_matrix(np.ones(1))[0]
-    u, v = _tropical_slogdet(logm)
-    with np.errstate(under="ignore"):
-        return float(abs(np.linalg.det(
-            np.exp(logm - u[:, None] - v[None, :]))))
+    return float(np.exp(_dual_slogdet(logm)[1]))
 
 
 def decide_nonzero(det: SliceFunction, m: int,

@@ -447,17 +447,24 @@ def _tropical_slogdet(logm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return u.reshape(a.shape[:-1]), v.reshape(a.shape[:-1])
 
 
-def _scaled_slogdet(logm: np.ndarray) -> np.ndarray:
-    """log|det exp(logm)| for stacked (..., n, n) log matrices, -inf where
-    the determinant vanishes: one slogdet of the dual-scaled matrices
-    exp(logm - u - v), whose entries lie in the unit disk, so no row or
-    column underflows whatever the grading, plus sum(u) + sum(v)."""
+def _dual_slogdet(logm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(log|det exp(logm)|, log|det exp(logm - u - v)|) for stacked
+    (..., n, n) log matrices and their assignment duals (u, v), both -inf
+    where the determinant vanishes.  The second is |det| relative to the
+    largest single permutation term.  One slogdet of the dual-scaled
+    matrices, whose entries lie in the unit disk, so no row or column
+    underflows whatever the grading; the first adds sum(u) + sum(v) back."""
     u, v = _tropical_slogdet(logm)
     with np.errstate(under="ignore"):
-        sign, logabs = np.linalg.slogdet(
+        _, scaled = np.linalg.slogdet(
             np.exp(logm - u[..., :, None] - v[..., None, :]))
-    out = logabs + np.sum(u, axis=-1) + np.sum(v, axis=-1)
-    return np.where(sign == 0, complex("-inf"), out.astype(complex))
+    return scaled + np.sum(u, axis=-1) + np.sum(v, axis=-1), scaled
+
+
+def _scaled_slogdet(logm: np.ndarray) -> np.ndarray:
+    """log|det exp(logm)| for stacked (..., n, n) log matrices, -inf where
+    the determinant vanishes (see _dual_slogdet)."""
+    return _dual_slogdet(logm)[0].astype(complex)
 
 
 class DeterminantLineView(LineView):
