@@ -136,7 +136,7 @@ def _cmd_casorati(args) -> int:
     from . import serialize as S
     from .funcspace import RationalSlice
     from .qops import (N_SAMPLES, _sample_points, casorati,
-                       casorati_monomials, scaled_sample)
+                       casorati_monomials, scaled_samples)
     f = S.map_from_json(_load_json(args.map), args.map)
     q = S.qshift_from_json(_load_json(args.q), args.q)
     det = (casorati_monomials(f, args.alpha, q) if args.alpha
@@ -147,10 +147,11 @@ def _cmd_casorati(args) -> int:
                   "den": S.polynomial_to_json(det.rf.den)}
     else:
         pts = _sample_points(f.nvars, N_SAMPLES, args.seed)
+        mags = scaled_samples(det, pts).tolist()
         report = {"kind": "samples",
                   "samples": [{"z": [ [v.real, v.imag] for v in z ],
-                               "scaled_magnitude": scaled_sample(det, z)}
-                              for z in pts]}
+                               "scaled_magnitude": g}
+                              for z, g in zip(pts, mags)]}
     _emit(report, args.out)
     return 0
 

@@ -235,13 +235,16 @@ def _sample_points(m: int, count: int, seed: int) -> np.ndarray:
     return pts * scales
 
 
-def scaled_sample(det: SliceFunction, z: np.ndarray) -> float:
-    """|det| at the point z, which is the node u = 1 on the line through
-    z, relative to the largest single permutation term of its matrix (in
-    [0, n^{n/2}]): a scale-free magnitude for deciding whether a sampled
-    Casoratian vanishes there."""
-    logm = det.line_view(z).log_matrix(np.ones(1))[0]
-    return float(np.exp(_dual_slogdet(logm)[1]))
+def scaled_samples(det: SliceFunction, pts: np.ndarray) -> np.ndarray:
+    """|det| at each point z of pts, relative to the largest single
+    permutation term of its matrix (in [0, n^{n/2}]): a scale-free
+    magnitude for deciding whether a sampled Casoratian vanishes there.
+    Each point is the node u = 1 on the line through it, so every point
+    builds its own log matrix; the matrices are scaled in one stacked
+    call."""
+    logm = np.stack([det.line_view(z).log_matrix(np.ones(1))[0]
+                     for z in pts])
+    return np.exp(_dual_slogdet(logm)[1])
 
 
 def decide_nonzero(det: SliceFunction, m: int,
@@ -255,7 +258,7 @@ def decide_nonzero(det: SliceFunction, m: int,
                                     "determinant computed exactly")
     if not isinstance(det, (CasoratiSlice, MonomialCasoratiSlice)):
         raise UsageError("cannot sample this determinant representation")
-    vals = [scaled_sample(det, z) for z in _sample_points(m, N_SAMPLES, seed)]
+    vals = scaled_samples(det, _sample_points(m, N_SAMPLES, seed)).tolist()
     nonzero = sum(v > SAMPLE_THRESHOLD for v in vals)
     if nonzero:
         return NondegeneracyVerdict(True, "sampling", f"nonzero at {nonzero}"

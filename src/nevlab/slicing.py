@@ -20,8 +20,12 @@ integral.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
-from typing import List, Sequence, Tuple
+import os
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -407,6 +411,37 @@ class MonomialDeterminantLineView(LineView):
         raise UsageError("determinant view has no closed-form zero set")
 
 
+def _lsap_path() -> Optional[str]:
+    """The file of scipy's compiled assignment extension,
+    scipy/optimize/_lsap<suffix>, found without importing scipy; None
+    where scipy or that file is missing."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    folder = os.path.join(spec.submodule_search_locations[0], "optimize")
+    paths = (os.path.join(folder, "_lsap" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    return next((p for p in paths if os.path.isfile(p)), None)
+
+
+@functools.lru_cache(maxsize=None)
+def _assignment_solver():
+    """scipy's linear_sum_assignment, loaded from its compiled extension
+    alone: the scipy.optimize package, whose start-up dominates a short
+    fresh process, is never imported.  scipy.optimize re-exports the
+    solver from this very extension, so it is the same solver either
+    way."""
+    path = _lsap_path()
+    if path is None:  # another scipy layout: the public import
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    spec = importlib.util.spec_from_file_location("scipy.optimize._lsap",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
 def _tropical_slogdet(logm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Optimal-assignment duals (u, v), each of shape (..., n), of stacked
     (..., n, n) log matrices: u_k + v_l >= Re logm[k, l] with equality
@@ -420,8 +455,7 @@ def _tropical_slogdet(logm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     v_l >= v_{sigma(k)} + (w[k, l] - w[k, sigma(k)]), in which each matrix
     stops at the first round that moves none of its v by more than 1e-9.
     """
-    from scipy.optimize import linear_sum_assignment
-
+    linear_sum_assignment = _assignment_solver()
     a = np.asarray(logm)
     n = a.shape[-1]
     w = np.where(np.isfinite(a.real), a.real, -1e300).reshape(-1, n, n)

@@ -57,6 +57,22 @@ def eval_complex(p, points) -> np.ndarray:
     return out
 
 
+def eval_abs_terms(p: Polynomial, points) -> np.ndarray:
+    """sum |c| * |z^e| over the terms of p at points of shape
+    (..., nvars): the size of the terms that any floating-point
+    evaluation of p there adds up, so its rounding error is at most a
+    small multiple of eps times this."""
+    points = np.abs(np.asarray(points, dtype=complex))
+    out = np.zeros(points.shape[:-1])
+    for e, c in p.terms.items():
+        term = np.full(points.shape[:-1], abs(c.to_complex()))
+        for i, ei in enumerate(e):
+            if ei:
+                term = term * points[..., i] ** ei
+        out = out + term
+    return out
+
+
 def qshift_numeric(q: QShift) -> np.ndarray:
     """The entries of q in double precision."""
     return np.array([e.to_complex() if isinstance(e, GaussianRational)

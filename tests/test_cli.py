@@ -8,6 +8,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -335,3 +337,51 @@ def test_exact_casorati_stdout_matches_golden(tmp_path, name):
     golden = f"golden_casorati_exact_{name}_alpha{alpha}.json"
     with open(os.path.join(DATA, golden)) as fh:
         assert out == fh.read()
+
+
+# run in a fresh process by the import-footprint test: each command's exit
+# code and stdout, then what the process loaded
+FOOTPRINT = """
+import contextlib, io, json, sys
+from nevlab import cli, slicing
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    outputs.append([code, out.getvalue()])
+print(json.dumps({
+    "outputs": outputs,
+    "solver_loads": slicing._assignment_solver.cache_info().misses,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_determinant_commands_load_only_the_assignment_kernel(tmp_path):
+    # the golden verify hypersurface run is exact algebra throughout; the
+    # sampled Casoratian after it reaches the assignment solver.  Only
+    # scipy's compiled kernel may be loaded for that, never the
+    # scipy.optimize package, and both outputs keep their golden bytes.
+    mp = write(tmp_path, "map.json", SAMPLED_MAPS["product"])
+    q = write(tmp_path, "q.json", {"q": [["2", "0"], ["2", "0"]]})
+    commands = [
+        (["verify", "hypersurface", "--config",
+          os.path.join(DATA, "golden_run_alpha1.json")],
+         "golden_verify_hypersurface.stdout"),
+        (["casorati", "--map", mp, "--q", q, "--alpha", "2"],
+         "golden_casorati_casorati_product_alpha2.json")]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT,
+         json.dumps([argv for argv, _ in commands])],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    for (code, out), (_, golden) in zip(got["outputs"], commands):
+        assert code == 0
+        with open(os.path.join(DATA, golden)) as fh:
+            assert out == fh.read()
+    assert got["solver_loads"] == 1
+    assert "scipy.optimize._lsap" in got["scipy"]
+    assert "scipy.optimize" not in got["scipy"]

@@ -4,18 +4,23 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nevlab.errors import UsageError
 from nevlab.funcspace import (ProductEntireSlice, ProjectiveMap,
                               QPochhammerSpec, RationalSlice, constant_slice)
 from nevlab.nevcore import QuadratureSpec, RadialGrid
 from nevlab.polynomials import Polynomial, RationalFunction, try_divide
-from nevlab.qops import (QShift, _det_rational, casorati, casorati_monomials,
+import nevlab.qops as qops
+from nevlab.qops import (N_SAMPLES, CasoratiSlice, QShift, _det_rational,
+                         _sample_points, casorati, casorati_monomials,
                          ldl_ratio, linear_nondegeneracy, q_periodic_test,
-                         qscale, shift_counting_ratio)
+                         qscale, scaled_samples, shift_counting_ratio)
 from nevlab.rationals import GaussianRational
+from nevlab.slicing import _dual_slogdet
+from oracles import eval_abs_terms, eval_complex, qshift_numeric
 
 Z = Polynomial.variable(0, 1)
 Q2 = QShift([2])
@@ -115,6 +120,87 @@ def test_det_rational_matches_leibniz(mat):
     assert det.num * den == num * det.den
 
 
+# q entries whose doubles are exact, so that a float q and the exact q
+# rescale every component by the same numbers
+DYADIC_Q = [Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(-3, 4),
+            Fraction(5, 4), GaussianRational(Fraction(1, 2), Fraction(1, 2)),
+            GaussianRational(Fraction(3, 2), Fraction(-1, 4))]
+
+
+@st.composite
+def casorati_inputs(draw):
+    """(components, exact q entries): rational maps of 2 to 4 components
+    in one variable, over monic linear denominators or 1, and polynomial
+    maps of 2 or 3 components in two variables (whose exact Casoratians
+    over denominators can take most of a minute each)."""
+    m = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 2)] * m).filter(lambda e: sum(e) <= 2)
+    nums = st.builds(lambda t: Polynomial(m, t), st.dictionaries(
+        exps, gaussians, min_size=1, max_size=3)).filter(
+            lambda p: not p.is_zero())
+    one = Polynomial.constant(1, m)
+    dens = st.just(one) if m == 2 else st.one_of(st.just(one), st.builds(
+        lambda c: Z + Polynomial.constant(c, 1), gaussians))
+    n1 = draw(st.integers(2, 4 if m == 1 else 3))
+    comps = [RationalSlice(RationalFunction(draw(nums), draw(dens)))
+             for _ in range(n1)]
+    q = draw(st.lists(st.sampled_from(DYADIC_Q), min_size=m, max_size=m))
+    return comps, q
+
+
+def _permanent(a):
+    """Permanents of a stack of (n, n) matrices, by expansion."""
+    n = a.shape[-1]
+    return sum(np.prod([a[..., k, p[k]] for k in range(n)], axis=0)
+               for p in itertools.permutations(range(n)))
+
+
+def _rounding_scale(rf, z):
+    """|rf| at z and the relative rounding of evaluating it there, in
+    units of eps: (sum of |terms|) / |value| of numerator and
+    denominator."""
+    nv, dv = eval_complex(rf.num, z), eval_complex(rf.den, z)
+    return np.abs(nv / dv), (eval_abs_terms(rf.num, z) / np.abs(nv)
+                             + eval_abs_terms(rf.den, z) / np.abs(dv))
+
+
+@settings(max_examples=25, deadline=None)
+@given(casorati_inputs(), st.integers(0, 2**32 - 1))
+def test_numeric_casorati_matches_exact(inputs, seed):
+    comps, q = inputs
+    exact = casorati(comps, QShift(q))
+    assume(not exact.rf.is_zero())
+    numeric = casorati(comps, QShift(qshift_numeric(QShift(q)).tolist()))
+    assert isinstance(numeric, CasoratiSlice)
+    m, n = comps[0].nvars, len(comps)
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    u = np.outer([0.5, 2.0], np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
+    z = u[:, None] * xi
+    got = numeric.line_view(xi).log_values(u).real
+    c_abs, c_round = _rounding_scale(exact.rf, z)
+    assume(np.all(c_abs > 0) and np.all(np.isfinite(c_abs)))
+    ref = np.log(c_abs)
+    # A first-order rounding bound from the values at each node.  The
+    # numeric path rounds every entry f (relative error _rounding_scale),
+    # carries it through log and exp around the dual scaling (relative
+    # error |log|f|| + 1) and eliminates; an entry error moves the Leibniz
+    # sum by at most the permanent of the entry errors, relative to |C|.
+    # The oracle's own evaluation of the exact C adds its _rounding_scale,
+    # and the final log adds |log|C||.  Each unit of eps stands for at most
+    # 4n roundings.
+    err = np.empty((len(u), n, n))
+    for k, row in enumerate(numeric.matrix):
+        for j, e in enumerate(row):
+            f_abs, f_round = _rounding_scale(e.rf, z)
+            err[:, k, j] = f_abs * (f_round + np.abs(np.log(f_abs)) + 1)
+    tol = 4 * n * np.finfo(float).eps * (
+        _permanent(err) / c_abs + c_round + np.abs(ref))
+    # beyond 1/2 the first-order bound says nothing: a node near a zero of C
+    well_posed = tol < 0.5
+    assert np.all(np.abs(got - ref)[well_posed] <= tol[well_posed])
+
+
 def _rf_matrix(rows):
     return [[e if isinstance(e, RationalFunction)
              else RationalFunction(Polynomial.constant(e, 1)) for e in row]
@@ -170,6 +256,48 @@ def test_nondegeneracy_sampling_path():
     assert v.method == "sampling"
     assert v.nondegenerate is True
     assert len(v.samples) == 8
+
+
+def _product_map():
+    """The benchmark's product map [1 : (1/2; z1)_inf : (3/5; z2)_inf]."""
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    return ProjectiveMap([
+        constant_slice(1, 2),
+        ProductEntireSlice(QPochhammerSpec(Fraction(1, 2), x)),
+        ProductEntireSlice(QPochhammerSpec(Fraction(3, 5), y))])
+
+
+def test_scaled_samples_stacked_equal_per_point():
+    f = _product_map()
+    q = QShift([2, 2])
+    pts = _sample_points(2, N_SAMPLES, 7)
+    poch = f.components[1]
+    dets = [casorati(f.components, q), casorati_monomials(f, 2, q),
+            # equal columns: every sample reads as zero
+            casorati([poch, poch], q)]
+    for det in dets:
+        got = scaled_samples(det, pts)
+        assert got.shape == (N_SAMPLES,)
+        for g, z in zip(got, pts):
+            # one stacked call equals one call per point, bit for bit
+            logm = det.line_view(z).log_matrix(np.ones(1))[0]
+            assert g.tobytes() == np.exp(_dual_slogdet(logm)[1]).tobytes()
+    assert np.all(got < qops.SAMPLE_THRESHOLD)
+
+
+def test_sampled_verdict_scales_all_points_in_one_call(monkeypatch):
+    calls = []
+    dual = qops._dual_slogdet
+
+    def counted(logm):
+        calls.append(np.shape(logm))
+        return dual(logm)
+
+    monkeypatch.setattr(qops, "_dual_slogdet", counted)
+    v = linear_nondegeneracy(_product_map(), QShift([2, 2]))
+    assert v.nondegenerate is True
+    assert calls == [(N_SAMPLES, 3, 3)]
+    assert all(type(x) is float for x in v.samples)
 
 
 def test_q_periodic_test():

@@ -1,6 +1,10 @@
 """Log-domain line views and scaled determinant evaluation."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from fractions import Fraction
 
@@ -24,6 +28,9 @@ from nevlab.slicing import (ConstantLineView, DeterminantLineView,
                             _scaled_slogdet, _tropical_slogdet)
 import nevlab.slicing as slicing
 from oracles import eval_complex
+
+# the src/ directory nevlab is imported from, for fresh processes
+SRC = os.path.dirname(os.path.dirname(slicing.__file__))
 
 
 def logdet_reference(a):
@@ -187,6 +194,88 @@ def test_assignment_scale_dominates_det():
         scale = u.sum() + v.sum()
         ld = _scaled_slogdet(a).real
         assert ld <= scale + math.log(math.factorial(5)) + 1e-9
+
+
+def assignment_stacks():
+    """(name, stack of weight matrices): random, tied, and holed as
+    _tropical_slogdet holes them (-inf entries read as -1e300, with one
+    finite transversal kept)."""
+    rng = np.random.default_rng(6)
+    holed = rng.standard_normal((16, 7, 7)) * 20.0
+    for w in holed:
+        keep = np.zeros((7, 7), dtype=bool)
+        keep[np.arange(7), rng.permutation(7)] = True
+        w[~keep & (rng.uniform(size=(7, 7)) < 0.5)] = -1e300
+    return [("random", rng.standard_normal((32, 5, 5)) * 10.0),
+            ("tied", rng.integers(-1, 2, size=(32, 6, 6)).astype(float)),
+            ("all equal", np.zeros((2, 4, 4))),
+            ("holed", holed),
+            ("one by one", rng.standard_normal((3, 1, 1)))]
+
+
+@pytest.fixture
+def fresh_solver():
+    """The assignment loader with an empty cache, emptied again after the
+    test, so a monkeypatched locator cannot leak into other tests."""
+    slicing._assignment_solver.cache_clear()
+    yield slicing._assignment_solver
+    slicing._assignment_solver.cache_clear()
+
+
+def test_loaded_solver_matches_scipy_optimize(fresh_solver):
+    from scipy.optimize import linear_sum_assignment
+    solve = fresh_solver()
+    for name, stack in assignment_stacks():
+        for w in stack:
+            rows, cols = solve(-w)
+            ref_rows, ref_cols = linear_sum_assignment(-w)
+            assert np.array_equal(rows, ref_rows), name
+            assert np.array_equal(cols, ref_cols), name
+
+
+def test_lsap_locator_finds_the_extension_file():
+    path = slicing._lsap_path()
+    assert path is not None and os.path.isfile(path)
+    assert os.path.basename(os.path.dirname(path)) == "optimize"
+    assert os.path.basename(path).startswith("_lsap.")
+
+
+def test_solver_falls_back_to_the_public_import(fresh_solver, monkeypatch):
+    stacks = [s + 0j for _, s in assignment_stacks()]
+    loaded = [_tropical_slogdet(a) for a in stacks]
+    fresh_solver.cache_clear()
+
+    def no_file_load(*args):
+        raise AssertionError("the fallback must not load a file")
+
+    from scipy.optimize import linear_sum_assignment
+    monkeypatch.setattr(slicing, "_lsap_path", lambda: None)
+    monkeypatch.setattr(slicing.importlib.util, "spec_from_file_location",
+                        no_file_load)
+    assert fresh_solver() is linear_sum_assignment
+    for a, (u, v) in zip(stacks, loaded):
+        fu, fv = _tropical_slogdet(a)
+        assert fu.tobytes() == u.tobytes() and fv.tobytes() == v.tobytes()
+
+
+def test_scipy_optimize_imports_after_the_loader():
+    # a fresh process: the loader runs first, then the public import, which
+    # must still succeed and solve alike
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from nevlab import slicing
+        solve = slicing._assignment_solver()
+        assert "scipy.optimize" not in sys.modules
+        import scipy.optimize
+        w = np.arange(16.0).reshape(4, 4) % 5
+        assert np.array_equal(scipy.optimize.linear_sum_assignment(w)[1],
+                              solve(w)[1])
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rational_line_view_cancellation():
