@@ -74,16 +74,6 @@ def _csv_row(*values) -> str:
     return ",".join(repr(float(x)) for x in values)
 
 
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: invalid JSON ({exc})")
-
-
 def _quad_from_args(args):
     from .nevcore import QuadratureSpec
     return QuadratureSpec(n_lines=args.lines, n_theta=args.theta,
@@ -92,7 +82,7 @@ def _quad_from_args(args):
 
 def _forms_file(path: str):
     from . import serialize as S
-    obj = _load_json(path)
+    obj = S.load_json(path)
     forms = obj.get("forms", obj) if isinstance(obj, dict) else obj
     if not isinstance(forms, list) or not forms:
         raise UsageError(f"{path}: expected a list of forms "
@@ -113,10 +103,10 @@ def _cmd_nev(args) -> int:
     if bool(args.fn) == bool(args.map):
         raise UsageError("exactly one of --fn or --map is required")
     if args.fn:
-        h = S.component_from_json(_load_json(args.fn), args.fn)
+        h = S.component_from_json(S.load_json(args.fn), args.fn)
         samples = characteristic_function(h, grid, quad)
     else:
-        f = S.map_from_json(_load_json(args.map), args.map)
+        f = S.map_from_json(S.load_json(args.map), args.map)
         samples = characteristic(f, grid, quad)
         for s in samples:
             s.m_val = s.t_val  # a map has no pole decomposition
@@ -137,8 +127,8 @@ def _cmd_casorati(args) -> int:
     from .funcspace import RationalSlice
     from .qops import (N_SAMPLES, _sample_points, casorati,
                        casorati_monomials, scaled_samples)
-    f = S.map_from_json(_load_json(args.map), args.map)
-    q = S.qshift_from_json(_load_json(args.q), args.q)
+    f = S.map_from_json(S.load_json(args.map), args.map)
+    q = S.qshift_from_json(S.load_json(args.q), args.q)
     det = (casorati_monomials(f, args.alpha, q) if args.alpha
            else casorati(f.components, q))
     if isinstance(det, RationalSlice):
@@ -159,8 +149,8 @@ def _cmd_casorati(args) -> int:
 def _cmd_nondegeneracy(args) -> int:
     from . import serialize as S
     from .qops import algebraic_nondegeneracy, linear_nondegeneracy
-    f = S.map_from_json(_load_json(args.map), args.map)
-    q = S.qshift_from_json(_load_json(args.q), args.q)
+    f = S.map_from_json(S.load_json(args.map), args.map)
+    q = S.qshift_from_json(S.load_json(args.q), args.q)
     if args.alpha:
         v = algebraic_nondegeneracy(f, args.alpha, q, seed=args.seed)
     else:
@@ -290,13 +280,13 @@ def _cmd_verify(args) -> int:
 def _cmd_partition(args) -> int:
     from . import serialize as S
     from .verifier import partition_by_q_ratio
-    obj = _load_json(args.components)
+    obj = S.load_json(args.components)
     comps_json = obj.get("components") if isinstance(obj, dict) else obj
     if not isinstance(comps_json, list) or not comps_json:
         raise UsageError(f"{args.components}: expected a component list")
     comps = [S.component_from_json(c, f"{args.components}[{i}]")
              for i, c in enumerate(comps_json)]
-    q = S.qshift_from_json(_load_json(args.q), args.q)
+    q = S.qshift_from_json(S.load_json(args.q), args.q)
     part = partition_by_q_ratio(comps, q)
     _emit({"classes": part.classes, "l": part.l,
            "witnesses": {f"{i},{j}": w

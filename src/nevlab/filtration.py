@@ -216,8 +216,7 @@ def quotient_check(levels: Sequence[FiltrationLevel], alpha: int, d: int,
 
 
 def delta_totals(levels: Sequence[FiltrationLevel], alpha: int, d: int,
-                 n: int, alpha0_empirical_val: Optional[int] = None
-                 ) -> FiltrationReport:
+                 n: int) -> FiltrationReport:
     M = math.comb(alpha + n, n)
     total = sum(lv.quotient_dim for lv in levels)
     if total != M:
@@ -231,11 +230,10 @@ def delta_totals(levels: Sequence[FiltrationLevel], alpha: int, d: int,
     delta = deltas[0]
     if delta <= 0:
         raise NumericError("Delta must be positive")
-    a0 = (empirical_alpha0(levels, alpha, d, n)
-          if alpha0_empirical_val is None else alpha0_empirical_val)
     return FiltrationReport(
         alpha=alpha, d=d, n=n, M=M,
-        alpha0_empirical=a0, alpha0_proof=n * d,
+        alpha0_empirical=empirical_alpha0(levels, alpha, d, n),
+        alpha0_proof=n * d,
         delta=delta, deltas_by_j=deltas, levels=list(levels),
         ratio_malpha_delta=M * alpha / delta,
         ratio_target=d * (n + 1),

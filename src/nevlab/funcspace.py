@@ -254,8 +254,7 @@ def as_slice(obj, nvars: Optional[int] = None) -> SliceFunction:
 class ProjectiveMap:
     """[f0 : ... : fn] with slice-function components."""
 
-    def __init__(self, components: Sequence[SliceFunction],
-                 reduced: bool = False):
+    def __init__(self, components: Sequence[SliceFunction]):
         comps = [c if isinstance(c, SliceFunction) else as_slice(c)
                  for c in components]
         if not comps:
@@ -264,7 +263,6 @@ class ProjectiveMap:
         self.nvars = comps[0].nvars
         if any(c.nvars != self.nvars for c in comps):
             raise UsageError("variable count mismatch among components")
-        self.reduced = reduced
 
     @property
     def n(self) -> int:
@@ -283,10 +281,6 @@ class ProjectiveMap:
             out.append(c.rf.num if d == 1 else c.rf.num.scale(ONE / d))
         return out
 
-    def scale_q(self, factors) -> "ProjectiveMap":
-        return ProjectiveMap([c.scale_q(factors) for c in self.components],
-                             reduced=self.reduced)
-
     def __repr__(self):
         return f"ProjectiveMap({self.components!r})"
 
@@ -304,7 +298,7 @@ def reduce_representation(components: Sequence[Polynomial]) -> ProjectiveMap:
     if not g.is_constant():
         comps = [Polynomial.zero(c.nvars) if c.is_zero() else try_divide(c, g)
                  for c in comps]
-    return ProjectiveMap([RationalSlice(c) for c in comps], reduced=True)
+    return ProjectiveMap([RationalSlice(c) for c in comps])
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +327,10 @@ class HomogeneousForm:
         self.terms = cleaned
 
     @classmethod
-    def from_polynomial(cls, p: Polynomial,
-                        degree: Optional[int] = None) -> "HomogeneousForm":
+    def from_polynomial(cls, p: Polynomial) -> "HomogeneousForm":
         if not p.is_homogeneous() or p.is_zero():
             raise UsageError("polynomial is not a nonzero homogeneous form")
-        d = p.total_degree() if degree is None else degree
-        return cls(p.nvars, d, dict(p.terms))
+        return cls(p.nvars, p.total_degree(), dict(p.terms))
 
     @classmethod
     def hyperplane(cls, coeffs: Sequence) -> "HomogeneousForm":
@@ -361,12 +353,6 @@ class HomogeneousForm:
         for e, c in self.terms.items():
             out[e.index(1)] = c.to_complex()
         return out
-
-    def scale(self, c) -> "HomogeneousForm":
-        return HomogeneousForm(
-            self.nplus1, self.degree,
-            {e: v * GaussianRational.from_value(c)
-             for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "HomogeneousForm":
         return HomogeneousForm.from_polynomial(self.to_polynomial() ** k)
@@ -429,12 +415,9 @@ def ideal_slice_dim(gammas: Sequence[HomogeneousForm], alpha: int) -> int:
     return ech.rank
 
 
-def quotient_dim(gammas: Sequence[HomogeneousForm], alpha: int,
-                 nplus1: Optional[int] = None) -> int:
+def quotient_dim(gammas: Sequence[HomogeneousForm], alpha: int) -> int:
     """dim V_alpha / (ideal slice)."""
-    n1 = gammas[0].nplus1 if gammas else nplus1
-    if n1 is None:
-        raise UsageError("need coordinate count for an empty form set")
+    n1 = gammas[0].nplus1
     total = math.comb(alpha + n1 - 1, n1 - 1)
     return total - ideal_slice_dim(gammas, alpha)
 

@@ -45,8 +45,11 @@ class RadialGrid:
 
     def __post_init__(self):
         r = self.radii
-        if not r or any(b <= a for a, b in zip(r, r[1:])) or r[0] <= 1.0:
-            raise UsageError("radii must be strictly increasing and > 1")
+        # 1 < r0 < r1 < ... < inf; a NaN fails every comparison
+        steps = zip((1.0,) + r, r + (math.inf,))
+        if not r or not all(a < b for a, b in steps):
+            raise UsageError("radii must be finite, strictly increasing "
+                             "and > 1")
 
     @classmethod
     def log_spaced(cls, r0: float, r1: float, steps: int) -> "RadialGrid":
@@ -58,13 +61,16 @@ class RadialGrid:
         parts = text.split(":")
         if len(parts) not in (3, 4):
             raise UsageError('grid spec must be "r0:r1:steps[:log|lin]"')
-        r0, r1, steps = float(parts[0]), float(parts[1]), int(parts[2])
         mode = parts[3] if len(parts) == 4 else "log"
-        if mode == "log":
-            return cls.log_spaced(r0, r1, steps)
-        if mode == "lin":
+        if mode not in ("log", "lin"):
+            raise UsageError(f"unknown grid mode {mode!r}")
+        try:
+            r0, r1, steps = float(parts[0]), float(parts[1]), int(parts[2])
+            if mode == "log":
+                return cls.log_spaced(r0, r1, steps)
             return cls(tuple(np.linspace(r0, r1, steps)))
-        raise UsageError(f"unknown grid mode {mode!r}")
+        except ValueError as exc:
+            raise UsageError(f"grid spec {text!r}: {exc}") from None
 
 
 @dataclass

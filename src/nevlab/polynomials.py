@@ -432,9 +432,6 @@ class RationalFunction:
             return RationalFunction(self.den, self.num) ** (-k)
         return RationalFunction(self.num**k, self.den**k, _reduced=(k == 1))
 
-    def scale(self, c) -> "RationalFunction":
-        return RationalFunction(self.num.scale(c), self.den, _reduced=False)
-
     def scale_vars(self, factors) -> "RationalFunction":
         return RationalFunction(self.num.scale_vars(factors),
                                 self.den.scale_vars(factors))

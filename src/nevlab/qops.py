@@ -35,7 +35,7 @@ ExactScalar = Union[int, Fraction, GaussianRational]
 class QShift:
     """The rescaling q in C^m; entries exact (Gaussian rational) or double."""
 
-    def __init__(self, entries: Sequence, diagonal: Optional[bool] = None):
+    def __init__(self, entries: Sequence):
         self.entries = list(entries)
         if not self.entries:
             raise UsageError("q needs at least one entry")
@@ -52,10 +52,7 @@ class QShift:
             if any(v == 0 for v in vals):
                 raise UsageError("q entries must be nonzero")
         self._vals = vals
-        is_diag = all(v == vals[0] for v in vals)
-        if diagonal is not None and diagonal != is_diag:
-            raise UsageError("diagonal flag inconsistent with entries")
-        self.diagonal = is_diag
+        self.diagonal = all(v == vals[0] for v in vals)
         if all(abs(abs(v) - 1.0) < 1e-12 for v in vals) and \
                 any(v != 1 for v in vals):
             warnings.warn("all |q_i| = 1: q may be a root of unity, where "
@@ -64,13 +61,6 @@ class QShift:
     @property
     def m(self) -> int:
         return len(self.entries)
-
-    @property
-    def value(self) -> complex:
-        """The common entry q~ of a diagonal rescaling."""
-        if not self.diagonal:
-            raise UsageError("q is not diagonal")
-        return self._vals[0]
 
     def powers(self, k: int) -> list:
         if self.exact:

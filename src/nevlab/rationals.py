@@ -29,9 +29,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_zero(self) -> bool:
-        return not self
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -122,4 +119,3 @@ def _coerce(v):
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)

@@ -20,14 +20,9 @@ _NEWTON_STEPS = 30
 
 @dataclass
 class UnivariateRootMultiset:
-    """Roots with integer multiplicities, plus a residual diagnostic.
-
-    residual is max |p(a)| / max-coefficient over the reported roots; it is
-    only a sanity signal (multiple roots inflate it in double precision).
-    """
+    """Roots with integer multiplicities."""
 
     roots: List[Tuple[complex, int]] = field(default_factory=list)
-    residual: float = 0.0
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.roots)
@@ -99,8 +94,6 @@ def univariate_roots(coeffs, tol: float = 1e-8) -> UnivariateRootMultiset:
                     break
             if not placed:
                 clusters.append([z])
-        scale = float(np.max(np.abs(c)))
-        worst = 0.0
         for cl in clusters:
             m = len(cl)
             center = sum(cl) / m
@@ -108,10 +101,7 @@ def univariate_roots(coeffs, tol: float = 1e-8) -> UnivariateRootMultiset:
             d = c
             for _ in range(m - 1):
                 d = _derivative(d)
-            center = _newton_polish(d, center)
-            worst = max(worst, abs(_poly_eval(c, center)) / scale)
-            out.roots.append((center, m))
-        out.residual = worst
+            out.roots.append((_newton_polish(d, center), m))
         if out.total_multiplicity() != n0 + len(c) - 1:
             raise NumericError("root multiplicities do not sum to the degree")
     out.roots.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))

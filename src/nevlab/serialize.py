@@ -321,12 +321,16 @@ def run_config_from_json(obj, path: str = "config") -> RunConfig:
     return cfg
 
 
-def load_run_config(file_path: str) -> RunConfig:
+def load_json(path: str):
+    """Parse a JSON file; a missing file or invalid JSON is a usage error."""
     try:
-        with open(file_path) as fh:
-            obj = json.load(fh)
+        with open(path) as fh:
+            return json.load(fh)
     except FileNotFoundError:
-        raise UsageError(f"config file not found: {file_path}")
+        raise UsageError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{file_path}: invalid JSON ({exc})")
-    return run_config_from_json(obj, file_path)
+        raise UsageError(f"{path}: invalid JSON ({exc})")
+
+
+def load_run_config(file_path: str) -> RunConfig:
+    return run_config_from_json(load_json(file_path), file_path)

@@ -20,16 +20,16 @@ import numpy as np
 
 from .errors import HypothesisFailure, UsageError
 from .funcspace import (CompositionSlice, HomogeneousForm, ProjectiveMap,
-                        RationalSlice, SliceFunction, apply_form,
+                        RationalSlice, SliceFunction, apply_form, as_slice,
                         check_general_position, constant_slice)
 from .filtration import filtration_report, lift_to_common_degree
 from .nevcore import (NevSample, QuadratureSpec, RadialGrid, _line_sum,
                       characteristic, characteristic_function,
                       circle_mean_log, counting, directions_for, fit_slope,
                       order_estimate, proximity)
-from .polynomials import Polynomial, RationalFunction, try_divide
-from .qops import (QShift, casorati, casorati_monomials, decide_nonzero,
-                   q_periodic_test, qscale)
+from .polynomials import Polynomial, try_divide
+from .qops import (T_FLOOR, QShift, casorati, casorati_monomials,
+                   decide_nonzero, q_periodic_test, qscale)
 
 ORDER_ZERO_THRESHOLD = 0.3
 TREND_FLOOR = -0.05
@@ -71,7 +71,7 @@ class SmtReport:
         rmax = max(row.r for row in self.rows)
         pts = [(math.log(row.r), row.margin / t)
                for row, t in zip(self.rows, self.t_values)
-               if row.r >= rmax / 10 and t > 1e-9]
+               if row.r >= rmax / 10 and t > T_FLOOR]
         if len(pts) < 2:
             return 0.0, True
         slope = fit_slope([x for x, _ in pts], [y for _, y in pts])
@@ -325,6 +325,9 @@ def partition_by_q_ratio(components: Sequence[SliceFunction],
     if not all(isinstance(c, RationalSlice) for c in comps):
         raise UsageError("the partition test is symbolic; components must "
                          "be rational")
+    if any(c.rf.is_zero() for c in comps):
+        # 0 / f_j is q-invariant for every f_j, so a zero would join classes
+        raise UsageError("the partition needs nonzero components")
     k = len(comps)
     parent = list(range(k))
 
@@ -374,7 +377,6 @@ def picard_check(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
                                 f"(subset {witness})")
     if not f.is_polynomial():
         raise UsageError("this check needs a polynomial reduced map")
-    polys = f.polynomials()
     inv = []
     for h in hyperplanes:
         g = apply_form(h, f).rf
@@ -385,13 +387,9 @@ def picard_check(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
     bound = None
     part = None
     if applies:
-        shifted = [g.scale_vars(q.powers(1)) for g in polys]
-        periodic = all(
-            shifted[i] * polys[j] == shifted[j] * polys[i]
-            for i in range(len(polys)) for j in range(i + 1, len(polys)))
-    if not failed and p >= n + 2:
         bound = n // (p - n)
         part = partition_by_q_ratio(f.components, q)
+        periodic = part.l == 1
     return PicardReport(inv, failed, p, n, applies, periodic, bound, part)
 
 
@@ -424,15 +422,6 @@ class QDiffPolynomial:
         return all(qs.diagonal for t in self.terms for qs, _ in t.factors)
 
 
-def _coeff_slice(c, nvars: int) -> SliceFunction:
-    if isinstance(c, SliceFunction):
-        return c
-    if isinstance(c, (Polynomial, RationalFunction)):
-        return RationalSlice(c if isinstance(c, RationalFunction)
-                             else RationalFunction(c))
-    return constant_slice(c, nvars)
-
-
 def compose_qdiff(P: QDiffPolynomial, w: SliceFunction) -> SliceFunction:
     """The function z -> P(z, w) as a slice function."""
     if P.nvars != w.nvars:
@@ -441,7 +430,7 @@ def compose_qdiff(P: QDiffPolynomial, w: SliceFunction) -> SliceFunction:
         return constant_slice(0, w.nvars)
     term_slices = []
     for t in P.terms:
-        s = _coeff_slice(t.coeff, w.nvars)
+        s = as_slice(t.coeff, w.nvars)
         for qs, e in t.factors:
             shifted = qscale(w, qs, 1)
             for _ in range(e):
@@ -530,7 +519,7 @@ def clunie_check(U: QDiffPolynomial, P: QDiffPolynomial, Q: QDiffPolynomial,
         ratios = [0.0] * len(grid.radii)
     else:
         mp = proximity(pw, grid, quad, dirs)
-        ratios = [sm.m_val / st.t_val if st.t_val > 1e-9 else math.inf
+        ratios = [sm.m_val / st.t_val if st.t_val > T_FLOOR else math.inf
                   for sm, st in zip(mp, t)]
     return ClunieReport(ratios, list(grid.radii), [s.t_val for s in t],
                         structure_ok, notes, identity_ok)
@@ -574,7 +563,7 @@ def tumura_clunie_ratio(G: QDiffPolynomial, f: SliceFunction,
     dirs = directions_for(quad, f, gf)
     t = characteristic_function(f, grid, quad, dirs)
     nf = counting(f, grid, quad, dirs)
-    hyp = [(s.n_zero + s.n_pole) / st.t_val if st.t_val > 1e-9 else math.inf
+    hyp = [(s.n_zero + s.n_pole) / st.t_val if st.t_val > T_FLOOR else math.inf
            for s, st in zip(nf, t)]
     rmax = grid.radii[-1]
     top = [(math.log(r), h) for r, h in zip(grid.radii, hyp)
@@ -588,7 +577,7 @@ def tumura_clunie_ratio(G: QDiffPolynomial, f: SliceFunction,
     else:
         notes.append("grid too small for a hypothesis trend")
     ng = counting(gf, grid, quad, dirs)
-    ratios = [s.n_zero / st.t_val if st.t_val > 1e-9 else math.inf
+    ratios = [s.n_zero / st.t_val if st.t_val > T_FLOOR else math.inf
               for s, st in zip(ng, t)]
     return TumuraReport(list(grid.radii), ratios, hyp, hyp_ok,
                         [s.t_val for s in t], TUMURA_FLOOR, notes)

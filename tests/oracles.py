@@ -1,10 +1,12 @@
 """Oracles the tests check nevlab against; nevlab itself never calls them.
 
-Exact line restriction and pointwise complex evaluation of polynomials, and
+Exact line restriction and pointwise complex evaluation of polynomials, the
+pairwise test of a q-periodic polynomial map, and
 JSON writers for the objects that `nevlab.serialize` reads (only
 `polynomial_to_json` stays in nevlab, for the CLI's determinant output).
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +73,14 @@ def eval_abs_terms(p: Polynomial, points) -> np.ndarray:
                 term = term * points[..., i] ** ei
         out = out + term
     return out
+
+
+def q_periodic_map(polys, q: QShift) -> bool:
+    """f(qz) = f(z) projectively, by cross-multiplying every pair of
+    components: f_i(qz) f_j(z) = f_j(qz) f_i(z)."""
+    shifted = [p.scale_vars(q.powers(1)) for p in polys]
+    return all(shifted[i] * polys[j] == shifted[j] * polys[i]
+               for i, j in itertools.combinations(range(len(polys)), 2))
 
 
 def qshift_numeric(q: QShift) -> np.ndarray:

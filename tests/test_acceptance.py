@@ -86,7 +86,7 @@ def test_criterion_01_jensen_identity():
                                   quantize(rng.normal()))
             c2 = GaussianRational(quantize(rng.normal()),
                                   quantize(rng.normal()))
-            if c1.is_zero() and c2.is_zero():
+            if not c1 and not c2:
                 c1 = GaussianRational(1, 0)
             return (Z1.scale(c1) + Z2.scale(c2)
                     + Polynomial.constant(a, 2))

@@ -70,6 +70,19 @@ def test_nev_missing_file_is_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("spec", ["abc:10:3", "10:100:-2"])
+def test_nev_malformed_grid_is_usage_error(tmp_path, spec):
+    fn = write(tmp_path, "fn.json", POLY_Z)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nevlab.cli", "nev", "--fn", fn,
+         "--grid", spec], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"usage error: grid spec '{spec}'")
+    assert "Traceback" not in proc.stderr
+
+
 def test_nev_bad_flag_combination(tmp_path):
     fn = write(tmp_path, "fn.json", POLY_Z)
     mp = write(tmp_path, "map.json", MAP_1Z)

@@ -32,6 +32,12 @@ def test_grid_validation():
     assert np.allclose(g.radii, [10.0, 100.0, 1000.0])
     with pytest.raises(UsageError):
         RadialGrid.parse("10:1000")
+    for spec in ("abc:10:3", "10:100:-2", "10:100:2.5", "0:100:3"):
+        with pytest.raises(UsageError, match=f"grid spec '{spec}'"):
+            RadialGrid.parse(spec)
+    for radii in ((float("nan"), 100.0), (10.0, math.inf)):
+        with pytest.raises(UsageError):
+            RadialGrid(radii)
 
 
 def test_quad_validation():

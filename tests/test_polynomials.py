@@ -107,7 +107,7 @@ def test_rational_with_constant_denominator_is_scaled_numerator(pc):
                                               fracs)] * m))))
 def test_restriction_commutes_with_product(abxi):
     a, b, xi = abxi
-    if all(x.is_zero() for x in xi):
+    if not any(xi):
         xi = tuple([GaussianRational(1, 0)] + list(xi[1:]))
     assert restrict_exact(a * b, xi) == \
         restrict_exact(a, xi) * restrict_exact(b, xi)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nevlab.errors import UsageError
-from nevlab.funcspace import (ProductEntireSlice, ProjectiveMap,
-                              QPochhammerSpec, RationalSlice, constant_slice)
+from nevlab.funcspace import (CompositionSlice, ProductEntireSlice,
+                              ProductSlice, ProjectiveMap, QPochhammerSpec,
+                              QuotientSlice, RationalSlice, constant_slice)
 from nevlab.nevcore import QuadratureSpec, RadialGrid
 from nevlab.polynomials import Polynomial, RationalFunction, try_divide
 import nevlab.qops as qops
@@ -19,7 +20,7 @@ from nevlab.qops import (N_SAMPLES, CasoratiSlice, QShift, _det_rational,
                          ldl_ratio, linear_nondegeneracy, q_periodic_test,
                          qscale, scaled_samples, shift_counting_ratio)
 from nevlab.rationals import GaussianRational
-from nevlab.slicing import _dual_slogdet
+from nevlab.slicing import _dual_slogdet, _nterms, _pochhammer_log
 from oracles import eval_abs_terms, eval_complex, qshift_numeric
 
 Z = Polynomial.variable(0, 1)
@@ -31,8 +32,6 @@ def test_qshift_validation():
         QShift([])
     with pytest.raises(UsageError):
         QShift([0])
-    with pytest.raises(UsageError):
-        QShift([2, 3], diagonal=True)
     assert QShift([2, 2]).diagonal
     assert QShift([Fraction(1, 2)]).exact
     assert not QShift([2.5j, 1.0]).exact
@@ -55,6 +54,127 @@ def test_qscale_keeps_constant_instance():
     one = constant_slice(1, 2)
     assert qscale(one, QShift([2, 3]), 1) is one
     assert qscale(one, QShift([Fraction(1, 2), 5]), 3) is one
+
+
+EPS = np.finfo(float).eps
+SHIFT_Q = [2, Fraction(-1, 2), Fraction(3, 2), GaussianRational(0, 2),
+           GaussianRational(Fraction(3, 4), Fraction(-1, 2))]
+quarters = st.builds(lambda a, b: GaussianRational(Fraction(a, 4),
+                                                   Fraction(b, 4)),
+                     st.integers(-8, 8), st.integers(-8, 8)).filter(bool)
+
+
+@st.composite
+def slice_leaves(draw, m):
+    """A rational function over 1 or 1 + c z_j, or a q-Pochhammer product
+    of a nonconstant affine form, in m variables."""
+    if draw(st.booleans()):
+        exps = st.tuples(*[st.integers(0, 2)] * m)
+        num = Polynomial(m, draw(st.dictionaries(exps, quarters, min_size=1,
+                                                 max_size=3)))
+        den = Polynomial.constant(1, m)
+        if draw(st.booleans()):
+            j = draw(st.integers(0, m - 1))
+            den = den + Polynomial.variable(j, m).scale(draw(quarters))
+        return RationalSlice(RationalFunction(num, den))
+    linear = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    ell = Polynomial(m, draw(st.dictionaries(st.sampled_from(linear),
+                                             quarters, min_size=1)))
+    if draw(st.booleans()):
+        ell = ell + Polynomial.constant(draw(quarters), m)
+    qbase = draw(st.sampled_from([0.5, -0.3 + 0.4j, 0.8j]))
+    return ProductEntireSlice(QPochhammerSpec(qbase, ell))
+
+
+@st.composite
+def shifted_slices(draw):
+    """(h, q, k, xi, u): h of every slice class, an exact q, a shift k, a
+    seeded direction xi and nodes u on a circle."""
+    m = draw(st.integers(1, 2))
+    leaf = slice_leaves(m)
+    kind = draw(st.sampled_from(["leaf", "product", "quotient", "form"]))
+    if kind == "leaf":
+        h = draw(leaf)
+    elif kind == "product":
+        h = ProductSlice([draw(leaf), draw(leaf)])
+    elif kind == "quotient":
+        h = QuotientSlice(draw(leaf), draw(leaf))
+    else:
+        d = draw(st.integers(1, 2))
+        exps = st.sampled_from([(i, d - i) for i in range(d + 1)])
+        terms = draw(st.dictionaries(exps, quarters, min_size=1))
+        h = CompositionSlice([(c.to_complex(), e) for e, c in terms.items()],
+                             [draw(leaf), draw(leaf)])
+    q = QShift(draw(st.lists(st.sampled_from(SHIFT_Q), min_size=m,
+                             max_size=m)))
+    k = draw(st.sampled_from([-1, 1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    r = draw(st.sampled_from([0.5, 1.5, 4.0]))
+    u = r * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
+    return h, q, k, xi, u
+
+
+def _log_rounding(h, xi, u):
+    """First-order bound on the rounding error of the complex log of h on
+    the line through xi at the nodes u, from the sizes of the values each
+    evaluation adds up.  It covers a rounding of xi itself as well."""
+    z = np.multiply.outer(u, xi)
+    if isinstance(h, RationalSlice):
+        out = np.zeros(u.shape)
+        for p in (h.rf.num, h.rf.den):
+            # coefficient, power, sum and Horner roundings of each term
+            deg = max(sum(e) for e in p.terms)
+            v = np.abs(eval_complex(p, z))
+            out += EPS * ((8 * deg + len(p.terms) + 2)
+                          * eval_abs_terms(p, z) / v + abs(np.log(v)))
+        return out
+    if isinstance(h, ProductEntireSlice):
+        lin, b = h.spec.affine_parts()
+        ell = z @ lin + b
+        size = np.abs(z) @ np.abs(lin) + abs(b)
+        q = complex(h.spec.qbase)
+        n = _nterms(q, h.spec.tail, float(np.max(np.abs(ell))))
+        k = np.arange(n)[:, None]
+        # ell from a dot product, q^k from a running product, then one
+        # multiply, subtract, chunk product and log per factor
+        err = (abs(q) ** k * (3 * (len(lin) + 2) * size
+                              + 3 * (k + 2) * np.abs(ell)) + 4)
+        logs = _pochhammer_log(q, ell, h.spec.tail)
+        return (EPS * (np.sum(err / np.abs(1 - q ** k * ell), axis=0)
+                       + n * abs(logs))
+                + 2 * h.spec.tail / (1 - abs(q)))
+    if isinstance(h, (ProductSlice, QuotientSlice)):
+        parts = h.factors if isinstance(h, ProductSlice) else [h.num, h.den]
+        return sum(_log_rounding(p, xi, u)
+                   + EPS * np.abs(p.line_view(xi).log_values(u))
+                   for p in parts)
+    logs = [c.line_view(xi).log_values(u) for c in h.components]
+    errs = [_log_rounding(c, xi, u) for c in h.components]
+    terms = [np.log(a) + sum(e * lv for e, lv in zip(exps, logs))
+             for a, exps in h.coeffs]
+    shift = np.max([t.real for t in terms], axis=0)
+    total = np.abs(np.sum([np.exp(t - shift) for t in terms], axis=0))
+    spread = np.zeros(u.shape)
+    for t, (a, exps) in zip(terms, h.coeffs):
+        # the term's log accumulates by parts, then exp(t - shift)
+        rel = sum(e * (d + 4 * EPS * np.abs(lv))
+                  for e, d, lv in zip(exps, errs, logs)) \
+            + 4 * EPS * (abs(np.log(a)) + np.abs(shift) + len(terms))
+        spread += np.exp(t.real - shift) * rel
+    return spread / total + EPS * np.abs(shift + np.log(total))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shifted_slices())
+def test_qscale_is_a_change_of_direction(case):
+    # h(q^k z) on the line through xi is h on the line through q^k xi
+    h, q, k, xi, u = case
+    shifted = qshift_numeric(q) ** k * xi
+    got = qscale(h, q, k).line_view(xi).log_abs(u)
+    want = h.line_view(shifted).log_abs(u)
+    bound = 2 * _log_rounding(h, shifted, u)
+    assert np.all((got == want) | (np.abs(got - want) <= bound))
 
 
 def test_casorati_power_basis_vandermonde():
@@ -215,7 +335,8 @@ def test_det_rational_hand_cases():
     zero = RationalFunction(Polynomial.zero(1))
     assert _det_rational(_rf_matrix([[0, 1], [0, 2]])) == zero
     r = RationalFunction(Z + 1, Z - 2)
-    assert _det_rational(_rf_matrix([[r, 2], [r * r, r.scale(2)]])) == zero
+    two = RationalFunction.constant(2, 1)
+    assert _det_rational(_rf_matrix([[r, 2], [r * r, r * two]])) == zero
     assert _det_rational([[r]]) == r
 
 

@@ -55,10 +55,13 @@ def test_zero_polynomial_rejected():
 
 def test_large_spread_of_moduli():
     targets = [1e-3, 1e3, -7.0]
-    rs = univariate_roots(coeffs_from_roots(targets))
+    c = coeffs_from_roots(targets)
+    rs = univariate_roots(c)
     assert rs.total_multiplicity() == 3
     for target in targets:
         err = min(abs(a - target) / max(abs(target), 1.0)
                   for a, _ in rs.roots)
         assert err < 1e-6
-    assert rs.residual < 1e-6
+    scale = np.max(np.abs(c))
+    for a, _ in rs.roots:
+        assert abs(np.polyval(c[::-1], a)) / scale < 1e-6

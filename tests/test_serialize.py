@@ -98,6 +98,15 @@ def test_qshift_roundtrip():
     assert not qf.exact
 
 
+def test_qshift_declared_diagonal_must_match_entries():
+    q = {"q": [["2", "0"], ["3", "0"]]}
+    assert not qshift_from_json(q).diagonal
+    with pytest.raises(UsageError, match="diagonal"):
+        qshift_from_json(dict(q, diagonal=True))
+    assert qshift_from_json({"q": [["2", "0"], ["2", "0"]],
+                             "diagonal": True}).diagonal
+
+
 def test_grid_forms():
     g = grid_from_json("10:1000:3")
     assert roundtrip_via_text(g, grid_to_json, grid_from_json).radii == g.radii

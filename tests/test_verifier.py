@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nevlab import qops, verifier
 from nevlab.errors import HypothesisFailure, UsageError
@@ -12,6 +13,7 @@ from nevlab.funcspace import (HomogeneousForm, ProductEntireSlice,
 from nevlab.nevcore import QuadratureSpec, RadialGrid
 from nevlab.polynomials import Polynomial, RationalFunction
 from nevlab.qops import QShift
+from nevlab.rationals import GaussianRational
 from nevlab.verifier import (QDiffPolynomial, QDiffTerm, SmtReport, SmtRow,
                              clunie_check, compose_qdiff,
                              forward_invariance_check,
@@ -19,6 +21,7 @@ from nevlab.verifier import (QDiffPolynomial, QDiffTerm, SmtReport, SmtRow,
                              picard_check, tumura_clunie_ratio,
                              verify_cartan_smt, verify_hsmt_weil,
                              verify_hypersurface_smt)
+from oracles import q_periodic_map
 
 Z = Polynomial.variable(0, 1)
 Q2 = QShift([2])
@@ -172,6 +175,45 @@ def test_picard_rigidity_conclusion():
     assert rep.q_periodic_map is True
     assert rep.dimension_bound == 0
     assert rep.partition.classes == [[0, 1]]
+
+
+@st.composite
+def polynomial_maps(draw):
+    """(components, q): 2 to 4 nonzero polynomials of one or two terms in
+    one or two variables, and exact q among 2, 4, -2 and 1/2, under which
+    ratios of monomials are often q-periodic."""
+    m = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 2)] * m)
+    coeffs = st.sampled_from([1, -1, 3, GaussianRational(0, 1)])
+    comps = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1,
+                                          max_size=2).map(
+        lambda t: Polynomial(m, t)), min_size=2, max_size=4))
+    q = draw(st.lists(st.sampled_from([2, 4, -2, Fraction(1, 2)]),
+                      min_size=m, max_size=m))
+    return comps, QShift(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_maps())
+@example(([Z, Z.scale(2)], Q2))
+@example(([Z, Z + 1], Q2))
+def test_one_partition_class_iff_map_is_q_periodic(case):
+    comps, q = case
+    part = partition_by_q_ratio([RationalSlice(p) for p in comps], q)
+    assert (part.l == 1) == q_periodic_map(comps, q)
+
+
+def test_partition_rejects_a_zero_component():
+    z1, z2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    f = ProjectiveMap([RationalSlice(Polynomial.zero(2)), RationalSlice(z1),
+                       RationalSlice(z2)])
+    with pytest.raises(UsageError, match="nonzero"):
+        partition_by_q_ratio(f.components, QShift([2, 3]))
+    # every H(f) is a monomial, so forward invariant; f(qz) != f(z)
+    H = [HomogeneousForm.hyperplane(c)
+         for c in ([1, 1, 0], [1, 0, 1], [1, 2, 0], [1, 0, 2])]
+    with pytest.raises(UsageError, match="nonzero"):
+        picard_check(f, H, QShift([2, 3]))
 
 
 def test_picard_requires_general_position():
