@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NumericError, UsageError
-from .funcspace import HomogeneousForm, monomials_of_degree
+from .funcspace import HomogeneousForm, multiple_rows, quotient_dim
 from .linalg import SparseEchelon
 from .polynomials import Polynomial
 
@@ -111,7 +111,6 @@ def hilbert_stabilization(gammas: Sequence[HomogeneousForm]) -> HilbertResult:
     if k not in (n1 - 1, n1):
         raise UsageError(f"expected {n1 - 1} or {n1} forms in {n1} "
                          "coordinates")
-    from .funcspace import quotient_dim
     bound = sum(g.degree - 1 for g in gammas) + 2
     start = 1
     dims = [(a, quotient_dim(gammas, a)) for a in range(start, bound + 1)]
@@ -141,8 +140,7 @@ def _level_generators(gpolys: List[Polynomial], e: Tuple[int, ...],
     for g, k in zip(gpolys, e):
         if k:
             base = base * g ** k
-    for mu in monomials_of_degree(n1, alpha - d * sum(e)):
-        yield (base * Polynomial.monomial(mu)).terms
+    return multiple_rows(base, alpha - d * sum(e))
 
 
 def build_filtration(gammas: Sequence[HomogeneousForm],
@@ -172,7 +170,7 @@ def build_filtration(gammas: Sequence[HomogeneousForm],
     dims = {}
     for e in reversed(tuples):
         for row in _level_generators(gpolys, e, alpha, d):
-            ech.add(dict(row))
+            ech.add(row)
         dims[e] = ech.rank
     levels = []
     for i, e in enumerate(tuples):

@@ -397,6 +397,15 @@ def monomials_of_degree(nvars: int, degree: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def multiple_rows(base: Polynomial, degree: int):
+    """The terms of base * mu, one dict per monomial mu of the given degree
+    in lex-descending order: mu is added to the exponents of base's terms,
+    whose coefficients are reused unchanged."""
+    terms = list(base.terms.items())
+    for mu in monomials_of_degree(base.nvars, degree):
+        yield {tuple(a + b for a, b in zip(e, mu)): c for e, c in terms}
+
+
 def ideal_slice_dim(gammas: Sequence[HomogeneousForm], alpha: int) -> int:
     """dim of span{gamma_j * mu : deg mu = alpha - deg gamma_j} in V_alpha."""
     if alpha < 0:
@@ -408,10 +417,8 @@ def ideal_slice_dim(gammas: Sequence[HomogeneousForm], alpha: int) -> int:
         raise UsageError("forms live in different coordinate counts")
     ech = SparseEchelon()
     for g in gammas:
-        gp = g.to_polynomial()
-        for mu in monomials_of_degree(n1, alpha - g.degree):
-            row = (gp * Polynomial.monomial(mu)).terms
-            ech.add(dict(row))
+        for row in multiple_rows(g.to_polynomial(), alpha - g.degree):
+            ech.add(row)
     return ech.rank
 
 

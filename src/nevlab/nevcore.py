@@ -67,6 +67,9 @@ class RadialGrid:
         try:
             r0, r1, steps = float(parts[0]), float(parts[1]), int(parts[2])
             if mode == "log":
+                # checked before numpy takes the logs, which would warn
+                if not (1 < r0 < math.inf and 1 < r1 < math.inf):
+                    raise ValueError("log-spaced ends must be finite and > 1")
                 return cls.log_spaced(r0, r1, steps)
             return cls(tuple(np.linspace(r0, r1, steps)))
         except ValueError as exc:

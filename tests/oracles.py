@@ -1,9 +1,10 @@
 """Oracles the tests check nevlab against; nevlab itself never calls them.
 
 Exact line restriction and pointwise complex evaluation of polynomials, the
-pairwise test of a q-periodic polynomial map, and
-JSON writers for the objects that `nevlab.serialize` reads (only
-`polynomial_to_json` stays in nevlab, for the CLI's determinant output).
+pairwise test of a q-periodic polynomial map, the Fraction-based echelon
+form that `nevlab.linalg` replaced, and JSON writers for the objects that
+`nevlab.serialize` reads (only `polynomial_to_json` stays in nevlab, for
+the CLI's determinant output).
 """
 
 import itertools
@@ -87,6 +88,52 @@ def qshift_numeric(q: QShift) -> np.ndarray:
     """The entries of q in double precision."""
     return np.array([e.to_complex() if isinstance(e, GaussianRational)
                      else complex(e) for e in q.entries])
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+# ---------------------------------------------------------------------------
+
+class FractionEchelon:
+    """Sparse echelon form over Gaussian rationals, the reference for
+    `nevlab.linalg.SparseEchelon`: each pivot row is scaled to leading
+    entry 1, and a row is reduced by subtracting factor * pivot in
+    GaussianRational (Fraction) arithmetic."""
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row: dict) -> dict:
+        """Eliminate existing pivots from a copy of row."""
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = max(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                return row
+            factor = row[lead]
+            for c, v in piv.items():
+                s = row.get(c)
+                s = -factor * v if s is None else s - factor * v
+                if s:
+                    row[c] = s
+                else:
+                    row.pop(c, None)
+        return row
+
+    def add(self, row: dict) -> bool:
+        """Insert a row; True iff it increased the rank."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        lead = max(row)
+        inv = row[lead]
+        self.pivots[lead] = {c: v / inv for c, v in row.items()}
+        return True
 
 
 # ---------------------------------------------------------------------------

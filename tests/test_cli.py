@@ -70,17 +70,18 @@ def test_nev_missing_file_is_usage_error(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("spec", ["abc:10:3", "10:100:-2"])
+@pytest.mark.parametrize("spec", ["abc:10:3", "10:100:-2", "-1:10:3"])
 def test_nev_malformed_grid_is_usage_error(tmp_path, spec):
     fn = write(tmp_path, "fn.json", POLY_Z)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "nevlab.cli", "nev", "--fn", fn,
-         "--grid", spec], env=dict(os.environ, PYTHONPATH=src),
+         f"--grid={spec}"], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"usage error: grid spec '{spec}'")
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_nev_bad_flag_combination(tmp_path):
@@ -348,6 +349,21 @@ def test_exact_casorati_stdout_matches_golden(tmp_path, name):
     assert code == 0
     assert json.loads(out)["kind"] == "rational"
     golden = f"golden_casorati_exact_{name}_alpha{alpha}.json"
+    with open(os.path.join(DATA, golden)) as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("command, golden", [
+    (["filtration", "inspect", "--alpha", "8"],
+     "golden_filtration_conics_gaussian_alpha8.json"),
+    (["hilbert"], "golden_hilbert_conics_gaussian.json")])
+def test_filtration_stdout_matches_golden(command, golden):
+    # a height-3 conic pair with non-real Gaussian-rational coefficients
+    # over denominators: every rank comes from exact elimination, so no
+    # byte may move
+    gammas = os.path.join(DATA, "golden_conics_gaussian.json")
+    code, out = run(command + ["--gammas", gammas])
+    assert code == 0
     with open(os.path.join(DATA, golden)) as fh:
         assert out == fh.read()
 

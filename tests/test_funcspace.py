@@ -10,8 +10,8 @@ from nevlab.funcspace import (HomogeneousForm, ProductEntireSlice,
                               ProjectiveMap, QPochhammerSpec, RationalSlice,
                               apply_form, check_general_position,
                               constant_slice, ideal_slice_dim,
-                              monomials_of_degree, quotient_dim,
-                              reduce_representation)
+                              monomials_of_degree, multiple_rows,
+                              quotient_dim, reduce_representation)
 from nevlab.polynomials import Polynomial, RationalFunction
 
 Z = Polynomial.variable(0, 1)
@@ -107,6 +107,16 @@ def test_monomials_of_degree():
     assert len(ms) == 6
     assert all(sum(e) == 2 for e in ms)
     assert len(set(ms)) == 6
+
+
+def test_multiple_rows_are_the_products_with_each_monomial():
+    base = HomogeneousForm(3, 2, {(2, 0, 0): "1/2", (0, 1, 1): -3,
+                                  (1, 0, 1): 1j}).to_polynomial()
+    for degree in (0, 1, 3):
+        mus = monomials_of_degree(3, degree)
+        rows = list(multiple_rows(base, degree))
+        assert rows == [(base * Polynomial.monomial(mu)).terms for mu in mus]
+    assert list(multiple_rows(base, -1)) == []
 
 
 def test_general_position():

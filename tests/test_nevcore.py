@@ -1,6 +1,7 @@
 """Counting, proximity, characteristic: closed forms and invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,9 +33,15 @@ def test_grid_validation():
     assert np.allclose(g.radii, [10.0, 100.0, 1000.0])
     with pytest.raises(UsageError):
         RadialGrid.parse("10:1000")
-    for spec in ("abc:10:3", "10:100:-2", "10:100:2.5", "0:100:3"):
-        with pytest.raises(UsageError, match=f"grid spec '{spec}'"):
-            RadialGrid.parse(spec)
+    # a log-spaced end <= 1, inf or NaN fails before numpy takes its log,
+    # which would print a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in ("abc:10:3", "10:100:-2", "10:100:2.5", "0:100:3",
+                     "-1:10:3", "10:-1:3", "0.5:10:3", "2:inf:3", "nan:10:3"):
+            with pytest.raises(UsageError, match=f"grid spec '{spec}'"):
+                RadialGrid.parse(spec)
+        assert RadialGrid.parse("5:5:1").radii == (5.0,)
     for radii in ((float("nan"), 100.0), (10.0, math.inf)):
         with pytest.raises(UsageError):
             RadialGrid(radii)
