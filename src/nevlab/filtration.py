@@ -13,7 +13,9 @@ are integer identities and are checked as such.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -132,14 +134,13 @@ def hilbert_stabilization(gammas: Sequence[HomogeneousForm]) -> HilbertResult:
 # filtration construction
 # ---------------------------------------------------------------------------
 
-def _level_generators(gpolys: List[Polynomial], e: Tuple[int, ...],
+def _level_generators(powers: List[List[Polynomial]], e: Tuple[int, ...],
                       alpha: int, d: int):
-    """Rows gamma^(e) * mu for monomials mu of degree alpha - d*sigma(e)."""
-    n1 = gpolys[0].nvars
-    base = Polynomial.constant(1, n1)
-    for g, k in zip(gpolys, e):
-        if k:
-            base = base * g ** k
+    """Rows gamma^(e) * mu for monomials mu of degree alpha - d*sigma(e);
+    powers[j][k] is gamma_j^k, and gamma_j^0 = 1 serves the zero tuple."""
+    base = functools.reduce(
+        operator.mul,
+        [pw[k] for pw, k in zip(powers, e) if k] or [powers[0][0]])
     return multiple_rows(base, alpha - d * sum(e))
 
 
@@ -164,12 +165,18 @@ def build_filtration(gammas: Sequence[HomogeneousForm],
         raise UsageError(
             "the forms must cut out a zero-dimensional subvariety; "
             f"Hilbert data: {hs.dims} ({hs.note})")
-    gpolys = [g.to_polynomial() for g in gammas]
+    # gamma_j^k for k <= alpha // d, each one product from the last
+    powers = []
+    for g in gammas:
+        pw = [Polynomial.constant(1, n1), g.to_polynomial()]
+        while len(pw) <= alpha // d:
+            pw.append(pw[-1] * pw[1])
+        powers.append(pw)
     tuples = enumerate_tuples(n, alpha, d)
     ech = SparseEchelon()
     dims = {}
     for e in reversed(tuples):
-        for row in _level_generators(gpolys, e, alpha, d):
+        for row in _level_generators(powers, e, alpha, d):
             ech.add(row)
         dims[e] = ech.rank
     levels = []

@@ -9,7 +9,10 @@ harnesses need.
 
 Slice functions are evaluated only through line views.  A point z is the
 node u = 1 on the line through z, so log h(z) is
-h.line_view(z).log_values(np.ones(1))[0].
+h.line_view(z).log_values(np.ones(1))[0].  A rescaling is a change of line
+as well: h(q z) on the line through xi is h on the line through q*xi
+(ShiftedSlice), so no slice class rescales itself.  Only a rational h
+under an exact q is rescaled symbolically (qops.qscale).
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,10 +43,6 @@ class SliceFunction:
     nvars: int
 
     def line_view(self, xi: np.ndarray) -> LineView:
-        raise NotImplementedError
-
-    def scale_q(self, factors: Sequence[complex]) -> "SliceFunction":
-        """The composition z -> h(q1 z1, ..., qm zm)."""
         raise NotImplementedError
 
     def is_rational(self) -> bool:
@@ -71,7 +69,8 @@ class RationalSlice(SliceFunction):
     The view of each direction is built once and kept per instance (keyed
     by the direction's bytes), so every functional, predicate and harness
     term that restricts this slice to the same line shares one view and
-    its cached roots.
+    its cached roots.  A constant restricts to the same view on every
+    line, so all its lines (every q^k*xi of a Casoratian row) share one.
     """
 
     def __init__(self, rf):
@@ -82,6 +81,7 @@ class RationalSlice(SliceFunction):
         self.rf = rf
         self.nvars = rf.nvars
         self._views = {}
+        self._constant = rf.is_constant()
 
     def is_rational(self):
         return True
@@ -91,7 +91,7 @@ class RationalSlice(SliceFunction):
 
     def line_view(self, xi):
         xi = np.asarray(xi, dtype=complex)
-        key = xi.tobytes()
+        key = b"" if self._constant else xi.tobytes()
         view = self._views.get(key)
         if view is None:
             num = self.rf.num.restrict_numeric(xi)
@@ -101,14 +101,9 @@ class RationalSlice(SliceFunction):
             # the zero constant keeps RationalLineView, whose zeros() raises
             view = self._views[key] = (
                 ConstantLineView(num[0])
-                if self.rf.is_constant() and not self.rf.is_zero()
+                if self._constant and not self.rf.is_zero()
                 else RationalLineView(num, den))
         return view
-
-    def scale_q(self, factors):
-        # a constant keeps its instance, so its shifts share one view cache
-        return self if self.rf.is_constant() else \
-            RationalSlice(self.rf.scale_vars(list(factors)))
 
     def __repr__(self):
         return f"RationalSlice({self.rf!r})"
@@ -153,24 +148,6 @@ class ProductEntireSlice(SliceFunction):
         return PochhammerLineView(self.spec.qbase, a, self._const,
                                   self.spec.tail)
 
-    def scale_q(self, factors):
-        exact = all(isinstance(f, (int, Fraction, GaussianRational))
-                    for f in factors)
-        if exact:
-            arg = self.spec.argument.scale_vars(list(factors))
-        else:
-            # inexact rescaling: fold the factors into the coefficients
-            terms = {}
-            for e, c in self.spec.argument.terms.items():
-                k = c.to_complex()
-                for f, ei in zip(factors, e):
-                    if ei:
-                        k *= complex(f) ** ei
-                terms[e] = GaussianRational(Fraction(k.real), Fraction(k.imag))
-            arg = Polynomial(self.nvars, terms)
-        return ProductEntireSlice(
-            QPochhammerSpec(self.spec.qbase, arg, self.spec.tail))
-
     def __repr__(self):
         return (f"ProductEntireSlice(qbase={self.spec.qbase}, "
                 f"ell={self.spec.argument!r})")
@@ -188,9 +165,6 @@ class ProductSlice(SliceFunction):
     def line_view(self, xi):
         return ProductLineView([f.line_view(xi) for f in self.factors])
 
-    def scale_q(self, factors):
-        return ProductSlice([f.scale_q(factors) for f in self.factors])
-
 
 class QuotientSlice(SliceFunction):
     def __init__(self, num: SliceFunction, den: SliceFunction):
@@ -202,10 +176,6 @@ class QuotientSlice(SliceFunction):
 
     def line_view(self, xi):
         return QuotientLineView(self.num.line_view(xi), self.den.line_view(xi))
-
-    def scale_q(self, factors):
-        return QuotientSlice(self.num.scale_q(factors),
-                             self.den.scale_q(factors))
 
 
 class CompositionSlice(SliceFunction):
@@ -226,9 +196,18 @@ class CompositionSlice(SliceFunction):
         return FormCompositionLineView(
             self.coeffs, [c.line_view(xi) for c in self.components])
 
-    def scale_q(self, factors):
-        return CompositionSlice(self.coeffs,
-                                [c.scale_q(factors) for c in self.components])
+
+class ShiftedSlice(SliceFunction):
+    """z -> h(factors * z), entrywise: on the line through xi this is h on
+    the line through factors * xi, so no shifted function is built."""
+
+    def __init__(self, h: SliceFunction, factors: np.ndarray):
+        self.h = h
+        self.factors = factors
+        self.nvars = h.nvars
+
+    def line_view(self, xi):
+        return self.h.line_view(self.factors * np.asarray(xi, dtype=complex))
 
 
 def constant_slice(c, nvars: int) -> RationalSlice:
@@ -361,6 +340,17 @@ class HomogeneousForm:
         return f"HomogeneousForm(deg={self.degree}, {self.to_polynomial()!r})"
 
 
+def monomial_term(a, f: ProjectiveMap,
+                  exps: Tuple[int, ...]) -> RationalFunction:
+    """a * f^I = a * f0^{i0} * ... * fn^{in} of a map with rational
+    components."""
+    out = RationalFunction.constant(a, f.nvars)
+    for comp, k in zip(f.components, exps):
+        if k:
+            out = out * comp.rf ** k
+    return out
+
+
 def apply_form(D: HomogeneousForm, f: ProjectiveMap) -> SliceFunction:
     """The composition D(f0, ..., fn)."""
     if D.nplus1 != f.n + 1:
@@ -369,11 +359,7 @@ def apply_form(D: HomogeneousForm, f: ProjectiveMap) -> SliceFunction:
     if all(c.is_rational() for c in f.components):
         out = RationalFunction(Polynomial.zero(f.nvars))
         for e, a in D.terms.items():
-            term = RationalFunction.constant(a, f.nvars)
-            for comp, k in zip(f.components, e):
-                if k:
-                    term = term * comp.rf ** k
-            out = out + term
+            out = out + monomial_term(a, f, e)
         return RationalSlice(out)
     coeffs = [(a.to_complex(), e) for e, a in D.terms.items()]
     return CompositionSlice(coeffs, f.components)

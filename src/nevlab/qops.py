@@ -9,13 +9,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import NumericError, SizeError, UsageError
-from .funcspace import (ProjectiveMap, RationalSlice,
-                        SliceFunction, monomials_of_degree)
+from .funcspace import (ProjectiveMap, RationalSlice, ShiftedSlice,
+                        SliceFunction, monomial_term, monomials_of_degree)
 from .nevcore import (QuadratureSpec, RadialGrid, characteristic_function,
                       counting, directions_for, order_estimate, proximity)
 from .polynomials import Polynomial, RationalFunction, try_divide
@@ -28,8 +28,6 @@ MONOMIAL_CAP = 64
 N_SAMPLES = 8             # seeded points a sampled Casoratian is tried at
 SAMPLE_THRESHOLD = 1e-10  # scaled |det| below this counts as zero
 T_FLOOR = 1e-9            # T below this leaves the ldl ratio undefined
-
-ExactScalar = Union[int, Fraction, GaussianRational]
 
 
 class QShift:
@@ -63,21 +61,29 @@ class QShift:
         return len(self.entries)
 
     def powers(self, k: int) -> list:
-        if self.exact:
-            return [e ** k for e in self.entries]
-        return [v ** k for v in self._vals]
+        """q^k entrywise, exact for an exact q."""
+        return [e ** k for e in self.entries]
+
+    def numeric_powers(self, k: int) -> np.ndarray:
+        """q^k entrywise in double precision."""
+        return np.array([v ** k for v in self._vals])
 
     def __repr__(self):
         return f"QShift({self.entries!r})"
 
 
 def qscale(h: SliceFunction, q: QShift, k: int = 1) -> SliceFunction:
-    """h(q^k z)."""
+    """h(q^k z).  The shift is exact if and only if h is rational and q is
+    exact; otherwise it is a change of line, h on the lines through q^k*xi.
+    h itself serves k = 0 and a rational constant, so that every shift of a
+    constant shares one view cache."""
     if q.m != h.nvars:
         raise UsageError("q length must match the variable count")
-    if k == 0:
+    if k == 0 or (h.is_rational() and h.rf.is_constant()):
         return h
-    return h.scale_q(q.powers(k))
+    if h.is_rational() and q.exact:
+        return RationalSlice(h.rf.scale_vars(q.powers(k)))
+    return ShiftedSlice(h, q.numeric_powers(k))
 
 
 # ---------------------------------------------------------------------------
@@ -119,29 +125,28 @@ def _det_rational(mat: List[List[RationalFunction]]) -> RationalFunction:
 
 
 class CasoratiSlice(SliceFunction):
-    """Determinant of a matrix of slice functions, log-domain only.
+    """det[ f_j(q^k z) ]_{k,j} of non-rational components or under an
+    inexact q, log-domain only: row k of its view restricts the components
+    to the line through q^k*xi.
 
     Only |det| is available along a line (dual-scaled slogdet), which is
     what the counting and proximity integrals consume.
     """
 
-    def __init__(self, matrix: Sequence[Sequence[SliceFunction]]):
-        self.matrix = [list(r) for r in matrix]
-        self.nvars = self.matrix[0][0].nvars
+    def __init__(self, components: Sequence[SliceFunction], q: QShift):
+        self.components = list(components)
+        self.q = q
+        self.nvars = self.components[0].nvars
+
+    def _rows(self, xi, count: int) -> List[List]:
+        """The component views on the lines through q^k*xi, k < count."""
+        xi = np.asarray(xi, dtype=complex)
+        lines = [self.q.numeric_powers(k) * xi for k in range(count)]
+        return [[c.line_view(line) for c in self.components]
+                for line in lines]
 
     def line_view(self, xi):
-        return DeterminantLineView(
-            [[e.line_view(xi) for e in row] for row in self.matrix])
-
-    def scale_q(self, factors):
-        return CasoratiSlice(
-            [[e.scale_q(factors) for e in row] for row in self.matrix])
-
-
-def _shift_matrix(components: Sequence[SliceFunction],
-                  q: QShift) -> List[List[SliceFunction]]:
-    n = len(components)
-    return [[qscale(c, q, k) for c in components] for k in range(n)]
+        return DeterminantLineView(self._rows(xi, len(self.components)))
 
 
 def casorati(components: Sequence[SliceFunction], q: QShift) -> SliceFunction:
@@ -151,39 +156,25 @@ def casorati(components: Sequence[SliceFunction], q: QShift) -> SliceFunction:
         raise UsageError("empty component list")
     if any(c.nvars != comps[0].nvars for c in comps):
         raise UsageError("variable count mismatch")
-    mat = _shift_matrix(comps, q)
     if all(c.is_rational() for c in comps) and q.exact:
         return RationalSlice(_det_rational(
-            [[e.rf for e in row] for row in mat]))
-    return CasoratiSlice(mat)
+            [[qscale(c, q, k).rf for c in comps] for k in range(len(comps))]))
+    return CasoratiSlice(comps, q)
 
 
-def monomial_slice(f: ProjectiveMap, exps: Tuple[int, ...]) -> RationalSlice:
-    """The monomial f^I = f0^{i0} * ... * fn^{in} of a map with rational
-    components."""
-    out = RationalFunction.constant(1, f.nvars)
-    for c, k in zip(f.components, exps):
-        if k:
-            out = out * c.rf ** k
-    return RationalSlice(out)
-
-
-class MonomialCasoratiSlice(SliceFunction):
+class MonomialCasoratiSlice(CasoratiSlice):
     """Generalized Casoratian on the degree-alpha monomials of a map with
-    non-rational components, kept in factored (monomial) form so each line
-    only evaluates the component logs once per shift."""
+    non-rational components (or under an inexact q), kept in factored
+    (monomial) form so each line only evaluates the component logs once
+    per shift."""
 
     def __init__(self, f: ProjectiveMap, monos, q: QShift):
-        self.f = f
+        super().__init__(f.components, q)
         self.monos = [tuple(e) for e in monos]
-        self.q = q
-        self.nvars = f.nvars
-        self._shifted = [[qscale(c, q, k) for c in f.components]
-                         for k in range(len(self.monos))]
 
     def line_view(self, xi):
-        rows = [[c.line_view(xi) for c in row] for row in self._shifted]
-        return MonomialDeterminantLineView(rows, self.monos)
+        return MonomialDeterminantLineView(self._rows(xi, len(self.monos)),
+                                           self.monos)
 
 
 def casorati_monomials(f: ProjectiveMap, alpha: int,
@@ -198,7 +189,7 @@ def casorati_monomials(f: ProjectiveMap, alpha: int,
             f"{MONOMIAL_CAP} (lower alpha)")
     monos = monomials_of_degree(n1, alpha)
     if all(c.is_rational() for c in f.components) and q.exact:
-        cols = [monomial_slice(f, e) for e in monos]
+        cols = [RationalSlice(monomial_term(1, f, e)) for e in monos]
         return casorati(cols, q)
     return MonomialCasoratiSlice(f, monos, q)
 
@@ -246,7 +237,7 @@ def decide_nonzero(det: SliceFunction, m: int,
         ok = not det.rf.is_zero()
         return NondegeneracyVerdict(ok, "symbolic",
                                     "determinant computed exactly")
-    if not isinstance(det, (CasoratiSlice, MonomialCasoratiSlice)):
+    if not isinstance(det, CasoratiSlice):
         raise UsageError("cannot sample this determinant representation")
     vals = scaled_samples(det, _sample_points(m, N_SAMPLES, seed)).tolist()
     nonzero = sum(v > SAMPLE_THRESHOLD for v in vals)

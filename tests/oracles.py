@@ -1,7 +1,8 @@
 """Oracles the tests check nevlab against; nevlab itself never calls them.
 
 Exact line restriction and pointwise complex evaluation of polynomials, the
-pairwise test of a q-periodic polynomial map, the Fraction-based echelon
+pairwise test of a q-periodic polynomial map, q-shifts rebuilt from exactly
+rescaled parts, the Fraction-based echelon
 form that `nevlab.linalg` replaced, and JSON writers for the objects that
 `nevlab.serialize` reads (only `polynomial_to_json` stays in nevlab, for
 the CLI's determinant output).
@@ -13,8 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from nevlab.errors import UsageError
-from nevlab.funcspace import (HomogeneousForm, ProductEntireSlice,
-                              ProductSlice, ProjectiveMap, QuotientSlice,
+from nevlab.funcspace import (CompositionSlice, HomogeneousForm,
+                              ProductEntireSlice, ProductSlice,
+                              ProjectiveMap, QPochhammerSpec, QuotientSlice,
                               RationalSlice, SliceFunction, as_slice)
 from nevlab.nevcore import QuadratureSpec, RadialGrid
 from nevlab.polynomials import Polynomial, RationalFunction
@@ -88,6 +90,27 @@ def qshift_numeric(q: QShift) -> np.ndarray:
     """The entries of q in double precision."""
     return np.array([e.to_complex() if isinstance(e, GaussianRational)
                      else complex(e) for e in q.entries])
+
+
+def qscale_exact(h: SliceFunction, q: QShift, k: int) -> SliceFunction:
+    """h(q^k z) for an exact q, rebuilt from exactly rescaled parts: every
+    rational function and every q-Pochhammer argument of h is replaced by
+    its scale_vars(q.powers(k)).  nevlab rescales only a rational h this
+    way; any other h it evaluates on the lines through q^k * xi."""
+    f = q.powers(k)
+    if isinstance(h, RationalSlice):
+        return RationalSlice(h.rf.scale_vars(f))
+    if isinstance(h, ProductEntireSlice):
+        s = h.spec
+        return ProductEntireSlice(
+            QPochhammerSpec(s.qbase, s.argument.scale_vars(f), s.tail))
+    if isinstance(h, ProductSlice):
+        return ProductSlice([qscale_exact(p, q, k) for p in h.factors])
+    if isinstance(h, QuotientSlice):
+        return QuotientSlice(qscale_exact(h.num, q, k),
+                             qscale_exact(h.den, q, k))
+    return CompositionSlice(h.coeffs,
+                            [qscale_exact(c, q, k) for c in h.components])
 
 
 # ---------------------------------------------------------------------------

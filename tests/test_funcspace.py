@@ -48,6 +48,9 @@ def test_rational_line_view_kept_per_direction():
     assert h.line_view(np.array([0.8, 0.6j])) is other
     # views are per instance: an equal slice builds its own
     assert RationalSlice(h.rf).line_view(xi) is not view
+    # a constant is the same on every line: one view serves all of them
+    c = constant_slice(3, 2)
+    assert c.line_view(xi) is c.line_view(np.array([0.8, 0.6j]))
 
 
 def test_pochhammer_value():

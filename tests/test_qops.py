@@ -11,17 +11,20 @@ from hypothesis import assume, given, settings, strategies as st
 from nevlab.errors import UsageError
 from nevlab.funcspace import (CompositionSlice, ProductEntireSlice,
                               ProductSlice, ProjectiveMap, QPochhammerSpec,
-                              QuotientSlice, RationalSlice, constant_slice)
+                              QuotientSlice, RationalSlice, ShiftedSlice,
+                              constant_slice)
 from nevlab.nevcore import QuadratureSpec, RadialGrid
 from nevlab.polynomials import Polynomial, RationalFunction, try_divide
 import nevlab.qops as qops
-from nevlab.qops import (N_SAMPLES, CasoratiSlice, QShift, _det_rational,
+from nevlab.qops import (N_SAMPLES, CasoratiSlice, MonomialCasoratiSlice,
+                         QShift, _det_rational,
                          _sample_points, casorati, casorati_monomials,
                          ldl_ratio, linear_nondegeneracy, q_periodic_test,
                          qscale, scaled_samples, shift_counting_ratio)
 from nevlab.rationals import GaussianRational
 from nevlab.slicing import _dual_slogdet, _nterms, _pochhammer_log
-from oracles import eval_abs_terms, eval_complex, qshift_numeric
+from oracles import (eval_abs_terms, eval_complex, qscale_exact,
+                     qshift_numeric)
 
 Z = Polynomial.variable(0, 1)
 Q2 = QShift([2])
@@ -48,12 +51,29 @@ def test_qscale_rational():
     g = qscale(h, Q2)
     assert g.rf == RationalFunction(Z.scale(2) + 1)
     assert qscale(h, Q2, 0) is h
+    # exact only under an exact q: a float q is a change of line
+    g = qscale(h, QShift([2.0]))
+    assert isinstance(g, ShiftedSlice) and g.h is h
 
 
 def test_qscale_keeps_constant_instance():
     one = constant_slice(1, 2)
     assert qscale(one, QShift([2, 3]), 1) is one
     assert qscale(one, QShift([Fraction(1, 2), 5]), 3) is one
+    assert qscale(one, QShift([0.5, 1.5 + 0.25j]), 2) is one
+
+
+def test_ratio_series_float_q_matches_exact_q():
+    # 5/4 is a double, so the float q and the exact q differ only in where
+    # the restriction of h(qz) to each line rounds: the float q restricts
+    # h to the line through q*xi, the exact q restricts h(qz) itself
+    h = RationalSlice(RationalFunction(Polynomial.constant(1, 1), Z - 3))
+    quad = QuadratureSpec(n_lines=4, n_theta=128, seed=5)
+    grid = RadialGrid((10.0, 100.0, 1000.0, 10000.0))
+    for series in (ldl_ratio, shift_counting_ratio):
+        exact = series(h, QShift([Fraction(5, 4)]), grid, quad)
+        numeric = series(h, QShift([1.25]), grid, quad)
+        np.testing.assert_allclose(numeric.ratios, exact.ratios, rtol=1e-12)
 
 
 EPS = np.finfo(float).eps
@@ -168,13 +188,16 @@ def _log_rounding(h, xi, u):
 @settings(max_examples=80, deadline=None)
 @given(shifted_slices())
 def test_qscale_is_a_change_of_direction(case):
-    # h(q^k z) on the line through xi is h on the line through q^k xi
+    # h(q^k z) on the line through xi is h on the line through q^k xi, and
+    # agrees with h rebuilt from exactly rescaled rational functions and
+    # Pochhammer arguments
     h, q, k, xi, u = case
     shifted = qshift_numeric(q) ** k * xi
     got = qscale(h, q, k).line_view(xi).log_abs(u)
-    want = h.line_view(shifted).log_abs(u)
     bound = 2 * _log_rounding(h, shifted, u)
-    assert np.all((got == want) | (np.abs(got - want) <= bound))
+    for want in (h.line_view(shifted).log_abs(u),
+                 qscale_exact(h, q, k).line_view(xi).log_abs(u)):
+        assert np.all((got == want) | (np.abs(got - want) <= bound))
 
 
 def test_casorati_power_basis_vandermonde():
@@ -310,9 +333,9 @@ def test_numeric_casorati_matches_exact(inputs, seed):
     # and the final log adds |log|C||.  Each unit of eps stands for at most
     # 4n roundings.
     err = np.empty((len(u), n, n))
-    for k, row in enumerate(numeric.matrix):
-        for j, e in enumerate(row):
-            f_abs, f_round = _rounding_scale(e.rf, z)
+    for k in range(n):
+        for j, c in enumerate(comps):
+            f_abs, f_round = _rounding_scale(qscale(c, QShift(q), k).rf, z)
             err[:, k, j] = f_abs * (f_round + np.abs(np.log(f_abs)) + 1)
     tol = 4 * n * np.finfo(float).eps * (
         _permanent(err) / c_abs + c_round + np.abs(ref))
@@ -355,6 +378,38 @@ def test_monomial_casorati_reduces_to_plain_casorati():
     det1 = casorati(f.components, Q2)
     det2 = casorati_monomials(f, 1, Q2)
     assert det1.rf == det2.rf or det1.rf == -det2.rf
+
+
+def _mixed_map():
+    """[1 + z1 : (1/2; z1 - z2/2)_inf : z2^2 / (1 - z1)] in two variables."""
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    one = Polynomial.constant(1, 2)
+    return ProjectiveMap([
+        RationalSlice(one + x),
+        ProductEntireSlice(QPochhammerSpec(Fraction(1, 2),
+                                           x - y.scale(Fraction(1, 2)))),
+        RationalSlice(RationalFunction(y * y, one - x))])
+
+
+@pytest.mark.parametrize("q", [[2, 2], [Fraction(5, 4), Fraction(-3, 4)],
+                               [1.1, -0.7 + 0.2j]])
+def test_numeric_alpha1_monomial_casorati_is_the_casorati(q):
+    # the degree-1 monomials are the components, in order, so the numeric
+    # monomial Casoratian at alpha = 1 reads the same log matrix
+    f, q = _mixed_map(), QShift(q)
+    plain = casorati(f.components, q)
+    mono = casorati_monomials(f, 1, q)
+    assert type(plain) is CasoratiSlice
+    assert type(mono) is MonomialCasoratiSlice
+    rng = np.random.default_rng(3)
+    u = np.outer([0.5, 2.0, 8.0], np.exp(2j * np.pi * np.arange(16) / 16))
+    for _ in range(3):
+        xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        assert np.array_equal(plain.line_view(xi).log_abs(u),
+                              mono.line_view(xi).log_abs(u))
+    pts = _sample_points(2, N_SAMPLES, 7)
+    assert np.array_equal(scaled_samples(plain, pts),
+                          scaled_samples(mono, pts))
 
 
 def test_linear_nondegeneracy_symbolic():
