@@ -12,7 +12,8 @@ node u = 1 on the line through z, so log h(z) is
 h.line_view(z).log_values(np.ones(1))[0].  A rescaling is a change of line
 as well: h(q z) on the line through xi is h on the line through q*xi
 (ShiftedSlice), so no slice class rescales itself.  Only a rational h
-under an exact q is rescaled symbolically (qops.qscale).
+is rescaled symbolically (qops.qscale), under any q: a double entry of q
+counts as its exact value.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class RationalSlice(SliceFunction):
         self.rf = rf
         self.nvars = rf.nvars
         self._views = {}
-        self._constant = rf.is_constant()
+        self.constant = rf.is_constant()
 
     def is_rational(self):
         return True
@@ -91,7 +92,7 @@ class RationalSlice(SliceFunction):
 
     def line_view(self, xi):
         xi = np.asarray(xi, dtype=complex)
-        key = b"" if self._constant else xi.tobytes()
+        key = b"" if self.constant else xi.tobytes()
         view = self._views.get(key)
         if view is None:
             num = self.rf.num.restrict_numeric(xi)
@@ -101,7 +102,7 @@ class RationalSlice(SliceFunction):
             # the zero constant keeps RationalLineView, whose zeros() raises
             view = self._views[key] = (
                 ConstantLineView(num[0])
-                if self._constant and not self.rf.is_zero()
+                if self.constant and not self.rf.is_zero()
                 else RationalLineView(num, den))
         return view
 

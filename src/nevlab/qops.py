@@ -45,10 +45,13 @@ class QShift:
             if any(not e for e in self.entries):
                 raise UsageError("q entries must be nonzero")
             vals = [e.to_complex() for e in self.entries]
+            self._rationals = self.entries
         else:
             vals = [complex(e) for e in self.entries]
             if any(v == 0 for v in vals):
                 raise UsageError("q entries must be nonzero")
+            # a double is a Gaussian rational: rescale by its exact value
+            self._rationals = [GaussianRational.from_value(v) for v in vals]
         self._vals = vals
         self.diagonal = all(v == vals[0] for v in vals)
         if all(abs(abs(v) - 1.0) < 1e-12 for v in vals) and \
@@ -61,8 +64,9 @@ class QShift:
         return len(self.entries)
 
     def powers(self, k: int) -> list:
-        """q^k entrywise, exact for an exact q."""
-        return [e ** k for e in self.entries]
+        """q^k entrywise and exact; a double entry counts as its exact
+        value."""
+        return [e ** k for e in self._rationals]
 
     def numeric_powers(self, k: int) -> np.ndarray:
         """q^k entrywise in double precision."""
@@ -73,15 +77,15 @@ class QShift:
 
 
 def qscale(h: SliceFunction, q: QShift, k: int = 1) -> SliceFunction:
-    """h(q^k z).  The shift is exact if and only if h is rational and q is
-    exact; otherwise it is a change of line, h on the lines through q^k*xi.
-    h itself serves k = 0 and a rational constant, so that every shift of a
-    constant shares one view cache."""
+    """h(q^k z).  A rational h is rescaled exactly, under any q; any other h
+    is a change of line, h on the lines through q^k*xi.  h itself serves
+    k = 0 and a rational constant, so that every shift of a constant shares
+    one view cache."""
     if q.m != h.nvars:
         raise UsageError("q length must match the variable count")
-    if k == 0 or (h.is_rational() and h.rf.is_constant()):
+    if k == 0 or (h.is_rational() and h.constant):
         return h
-    if h.is_rational() and q.exact:
+    if h.is_rational():
         return RationalSlice(h.rf.scale_vars(q.powers(k)))
     return ShiftedSlice(h, q.numeric_powers(k))
 

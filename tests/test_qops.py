@@ -44,6 +44,8 @@ def test_qshift_powers():
     q = QShift([Fraction(3, 2)])
     assert q.powers(2)[0].re == Fraction(9, 4)
     assert q.powers(-1)[0].re == Fraction(2, 3)
+    # a double entry counts as its exact value, powered exactly
+    assert QShift([1.1]).powers(3)[0] == GaussianRational(Fraction(1.1) ** 3)
 
 
 def test_qscale_rational():
@@ -51,9 +53,15 @@ def test_qscale_rational():
     g = qscale(h, Q2)
     assert g.rf == RationalFunction(Z.scale(2) + 1)
     assert qscale(h, Q2, 0) is h
-    # exact only under an exact q: a float q is a change of line
-    g = qscale(h, QShift([2.0]))
-    assert isinstance(g, ShiftedSlice) and g.h is h
+    # a rational h stays exact under a float q, scaled by the double's value
+    g = qscale(h, QShift([1.1]), 2)
+    assert isinstance(g, RationalSlice)
+    assert g.rf == RationalFunction(Z.scale(Fraction(1.1) ** 2) + 1)
+    # any other h is a change of line, under any q
+    w = ProductEntireSlice(QPochhammerSpec(Fraction(1, 2), Z))
+    for q in (Q2, QShift([1.1])):
+        g = qscale(w, q)
+        assert isinstance(g, ShiftedSlice) and g.h is w
 
 
 def test_qscale_keeps_constant_instance():
@@ -64,16 +72,15 @@ def test_qscale_keeps_constant_instance():
 
 
 def test_ratio_series_float_q_matches_exact_q():
-    # 5/4 is a double, so the float q and the exact q differ only in where
-    # the restriction of h(qz) to each line rounds: the float q restricts
-    # h to the line through q*xi, the exact q restricts h(qz) itself
+    # 5/4 is a double, so the float q rescales the rational h exactly by
+    # the same value as the exact q, and the two runs agree bitwise
     h = RationalSlice(RationalFunction(Polynomial.constant(1, 1), Z - 3))
     quad = QuadratureSpec(n_lines=4, n_theta=128, seed=5)
     grid = RadialGrid((10.0, 100.0, 1000.0, 10000.0))
     for series in (ldl_ratio, shift_counting_ratio):
         exact = series(h, QShift([Fraction(5, 4)]), grid, quad)
         numeric = series(h, QShift([1.25]), grid, quad)
-        np.testing.assert_allclose(numeric.ratios, exact.ratios, rtol=1e-12)
+        np.testing.assert_array_equal(numeric.ratios, exact.ratios)
 
 
 EPS = np.finfo(float).eps

@@ -270,3 +270,51 @@ def test_tumura_controls_report_only():
         assert rep.report_only
         assert rep.floor_holds() is None
         assert rep.notes
+
+
+# 1.25 is a double whose exact value is 5/4: a rational w under the float q
+# is rescaled exactly by 5/4, so each check runs as under the exact q
+FLOAT_Q, EXACT_Q = QShift([1.25]), QShift([Fraction(5, 4)])
+
+
+def test_clunie_rational_w_under_float_q_is_symbolic():
+    w = RationalSlice(RationalFunction(Z + 1, Z - 3))
+    reps = []
+    for q in (FLOAT_Q, EXACT_Q):
+        qid = QShift([1.0]) if q is FLOAT_Q else QShift([1])
+        U = QDiffPolynomial([QDiffTerm(1, [(qid, 1)])], 1)
+        P = QDiffPolynomial([QDiffTerm(Z, [(q, 1)]), QDiffTerm(1, [])], 1)
+        Q = QDiffPolynomial([QDiffTerm(Z, [(qid, 1), (q, 1)]),
+                             QDiffTerm(1, [(qid, 1)])], 1)
+        reps.append(clunie_check(U, P, Q, w, q, GRID, QUAD))
+    assert all(r.notes[0] == "symbolic identity check" for r in reps)
+    assert reps[0].ratios == reps[1].ratios
+    assert reps[0].t_values == reps[1].t_values
+
+
+def test_clunie_zero_p_detected_under_float_q():
+    # P(z, w) = w(qz) - (5/4) w(z) vanishes identically for w = z
+    w = RationalSlice(Z)
+    qid = QShift([1.0])
+    U = QDiffPolynomial([QDiffTerm(1, [(qid, 1)])], 1)
+    P = QDiffPolynomial([QDiffTerm(1, [(FLOAT_Q, 1)]),
+                         QDiffTerm(Fraction(-5, 4), [(qid, 1)])], 1)
+    assert compose_qdiff(P, w).rf.is_zero()
+    rep = clunie_check(U, P, QDiffPolynomial([], 1), w, FLOAT_Q, GRID, QUAD)
+    assert rep.ratios == [0.0] * len(GRID.radii)
+
+
+def test_tumura_multi_term_g_over_rational_f_under_float_q():
+    # G(z, f) = f(qz) f(z) + f(qz) over f = 1/(z - 3), which has a pole:
+    # G(., f) is rational, so its zeros are counted from roots
+    f = RationalSlice(RationalFunction(Polynomial.constant(1, 1), Z - 3))
+    reps = []
+    for q in (FLOAT_Q, EXACT_Q):
+        qid = QShift([1.0]) if q is FLOAT_Q else QShift([1])
+        G = QDiffPolynomial([QDiffTerm(1, [(q, 1), (qid, 1)]),
+                             QDiffTerm(1, [(q, 1)])], 1)
+        assert isinstance(compose_qdiff(G, f), RationalSlice)
+        reps.append(tumura_clunie_ratio(G, f, GRID, QUAD))
+    assert reps[0].ratios == reps[1].ratios
+    assert reps[0].hypothesis_ratios == reps[1].hypothesis_ratios
+    assert all(r > 0 for r in reps[0].ratios)
