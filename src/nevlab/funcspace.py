@@ -99,10 +99,8 @@ class RationalSlice(SliceFunction):
             den = self.rf.den.restrict_numeric(xi)
             if not np.any(den):
                 raise UsageError("denominator vanishes on this line")
-            # the zero constant keeps RationalLineView, whose zeros() raises
             view = self._views[key] = (
-                ConstantLineView(num[0])
-                if self.constant and not self.rf.is_zero()
+                ConstantLineView(num[0]) if self.constant
                 else RationalLineView(num, den))
         return view
 
@@ -116,7 +114,6 @@ class QPochhammerSpec:
 
     qbase: complex
     argument: Polynomial  # the affine form ell(z)
-    tail: float = 1e-15
 
     def __post_init__(self):
         if not 0 < abs(self.qbase) < 1:
@@ -146,8 +143,7 @@ class ProductEntireSlice(SliceFunction):
 
     def line_view(self, xi):
         a = complex(np.dot(self._lin, np.asarray(xi, dtype=complex)))
-        return PochhammerLineView(self.spec.qbase, a, self._const,
-                                  self.spec.tail)
+        return PochhammerLineView(self.spec.qbase, a, self._const)
 
     def __repr__(self):
         return (f"ProductEntireSlice(qbase={self.spec.qbase}, "

@@ -185,13 +185,16 @@ def _count_from_roots(roots, r: float) -> float:
 
 def _line_counts(view: LineView, radii: Sequence[float],
                  n_theta: int) -> np.ndarray:
-    """Rows N_zero, N_pole, err on one line, one column per radius; Jensen
-    counting evaluates the unit circle once for all radii."""
+    """Rows N_zero, N_pole, err on one line, one column per radius.  A
+    closed divisor is asked for once, at the largest radius; Jensen
+    counting evaluates the unit circle once for all radii.  This is the
+    one place that rejects a view vanishing identically on its line."""
     if view.identically_zero:
         raise UsageError("function vanishes identically on a sampled line")
     if view.has_closed_zeros:
-        return np.array([(_count_from_roots(view.zeros(r), r),
-                          _count_from_roots(view.poles(r), r), 0.0)
+        zeros, poles = view.divisor(max(radii))
+        return np.array([(_count_from_roots(zeros, r),
+                          _count_from_roots(poles, r), 0.0)
                          for r in radii]).T
     if view.is_entire:
         # one circle per call: on all radii at once a determinant view holds

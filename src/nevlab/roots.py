@@ -34,12 +34,12 @@ def _strip(coeffs: np.ndarray) -> Tuple[np.ndarray, int]:
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1:
         raise UsageError("coefficient array must be one-dimensional")
-    scale = np.max(np.abs(c)) if c.size else 0.0
+    mag = np.abs(c)
+    scale = mag.max() if c.size else 0.0
     if scale == 0.0:
         raise UsageError("zero polynomial has no root multiset")
-    keep = np.abs(c) > 1e-14 * scale
-    hi = int(np.max(np.nonzero(keep)))
-    lo = int(np.min(np.nonzero(keep)))
+    keep = np.flatnonzero(mag > 1e-14 * scale)
+    lo, hi = int(keep[0]), int(keep[-1])
     return c[lo:hi + 1], lo
 
 

@@ -111,13 +111,10 @@ def _complex_pair(obj, path: str):
 def product_entire_from_json(obj, path: str = "product") -> ProductEntireSlice:
     qbase = _complex_pair(obj.get("qbase"), path + ".qbase")
     linear = polynomial_from_json(obj.get("linear"), path + ".linear")
-    tol = obj.get("tol", 1e-15)
-    if not isinstance(tol, float) or not 0 < tol < 1:
-        _fail(path + ".tol", "must be a float in (0, 1)")
     if isinstance(qbase, GaussianRational):
         qbase = Fraction(qbase.re) if not qbase.im else qbase.to_complex()
     try:
-        return ProductEntireSlice(QPochhammerSpec(qbase, linear, tol))
+        return ProductEntireSlice(QPochhammerSpec(qbase, linear))
     except UsageError as exc:
         _fail(path, str(exc))
 

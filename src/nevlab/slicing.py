@@ -12,10 +12,13 @@ overflow:
   components and determinant entries need it, because there the phases of
   several terms are summed.
 
-Views also give certified zero/pole multisets inside a disk when the
-variant knows its divisor in closed form (has_closed_zeros).  Entire views
-without closed zeros are still countable downstream through the Jensen
-integral.
+A view whose variant knows its divisor in closed form (has_closed_zeros)
+answers divisor(r): its zeros and poles in |u| <= r with multiplicities,
+after cancellation, as one pair of lists.  Products and quotients cancel
+their parts' divisors once per call, and the counting functional asks each
+line once, for its largest radius.  Entire views without closed zeros
+(form compositions and determinants) are still countable downstream
+through the Jensen integral.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .roots import univariate_roots
+from .roots import _strip, univariate_roots
 
 RootList = List[Tuple[complex, int]]
 
 _MATCH_TOL = 1e-9
+# q-Pochhammer products keep their terms until |ell| * |q|^k < this tail
+POCHHAMMER_TAIL = 1e-15
 
 
 class LineView:
@@ -54,31 +59,31 @@ class LineView:
         parts (forms) or that compute only a magnitude (determinants)."""
         return self.log_values(u).real
 
-    def zeros(self, r: float) -> RootList:
-        raise NotImplementedError
-
-    def poles(self, r: float) -> RootList:
-        return []
+    def divisor(self, r: float) -> Tuple[RootList, RootList]:
+        """(zeros, poles) in |u| <= r with multiplicities, after
+        cancellation; points outside r may be listed too.  The lists may be
+        the view's own cache: callers do not change them."""
+        raise UsageError("line view has no closed-form divisor")
 
 
 def _cancel(zeros: RootList, poles: RootList) -> Tuple[RootList, RootList]:
-    """Remove common points (restriction may create removable factors)."""
+    """Remove common points (restriction may create removable factors).
+    Neither argument is changed."""
     if not zeros or not poles:
         return zeros, poles
     zs = [list(t) for t in zeros]
-    for i, (p, pm) in enumerate(poles):
-        if pm <= 0:
-            continue
+    kept = []
+    for p, pm in poles:
         for z in zs:
+            if pm <= 0:
+                break
             if z[1] > 0 and abs(z[0] - p) <= _MATCH_TOL * (1.0 + abs(p)):
                 k = min(z[1], pm)
                 z[1] -= k
                 pm -= k
-                if pm == 0:
-                    break
-        poles[i] = (p, pm)
-    return ([(a, m) for a, m in zs if m > 0],
-            [(a, m) for a, m in poles if m > 0])
+        if pm > 0:
+            kept.append((p, pm))
+    return [(a, m) for a, m in zs if m > 0], kept
 
 
 class ConstantLineView(LineView):
@@ -96,8 +101,8 @@ class ConstantLineView(LineView):
         with np.errstate(divide="ignore"):
             return np.full(np.shape(u), np.log(np.abs(self.value)))
 
-    def zeros(self, r):
-        return []
+    def divisor(self, r):
+        return [], []
 
 
 class RationalLineView(LineView):
@@ -109,9 +114,9 @@ class RationalLineView(LineView):
         if not np.any(self.den):
             raise UsageError("denominator vanishes identically on the line")
         self.identically_zero = not np.any(self.num)
-        dscale = float(np.max(np.abs(self.den)))
-        sig = np.nonzero(np.abs(self.den) > 1e-14 * dscale)[0]
-        self.is_entire = int(np.max(sig)) == 0
+        # entire when the denominator has degree 0 under the cut of _strip
+        kept, low = _strip(self.den)
+        self.is_entire = low + len(kept) == 1
         self._cache = None
 
     def log_values(self, u):
@@ -130,21 +135,12 @@ class RationalLineView(LineView):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(np.abs(nv)) - np.log(np.abs(dv))
 
-    def _roots(self):
+    def divisor(self, r):
+        """Every root of num and den, found once: r is not read."""
         if self._cache is None:
-            z = univariate_roots(self.num).roots \
-                if np.any(self.num) else []
-            p = univariate_roots(self.den).roots
-            self._cache = _cancel(list(z), list(p))
+            self._cache = _cancel(univariate_roots(self.num).roots,
+                                  univariate_roots(self.den).roots)
         return self._cache
-
-    def zeros(self, r):
-        if self.identically_zero:
-            raise UsageError("identically zero on the line")
-        return [(a, m) for a, m in self._roots()[0] if abs(a) <= r]
-
-    def poles(self, r):
-        return [(a, m) for a, m in self._roots()[1] if abs(a) <= r]
 
 
 # at most this many factors share one log, and a chunk's product is kept
@@ -156,16 +152,17 @@ _BLOCK = 32
 _TINY = np.finfo(float).tiny
 
 
-def _nterms(qbase: complex, tail: float, lmax: float) -> int:
-    """Terms k kept in prod_k (1 - l*qbase^k): until |l| * |q|^k < tail."""
+def _nterms(qbase: complex, lmax: float) -> int:
+    """Terms k kept in prod_k (1 - l*qbase^k): until |l| * |q|^k is below
+    POCHHAMMER_TAIL."""
     if lmax <= 0:
         return 1
+    tail = POCHHAMMER_TAIL
     k = math.log(tail / max(lmax, tail)) / math.log(abs(qbase))
     return max(1, int(math.ceil(k)) + 1)
 
 
-def _pochhammer_log(qbase, ell, tail: float,
-                    phase: bool = True) -> np.ndarray:
+def _pochhammer_log(qbase, ell, phase: bool = True) -> np.ndarray:
     """sum_{k < n} log(1 - ell * qbase^k) for an array ell of any shape,
     with n = _nterms(max |ell|); with phase=False only its real part,
     log|prod|, skipping the angle pass.
@@ -182,7 +179,7 @@ def _pochhammer_log(qbase, ell, tail: float,
     q = complex(qbase)
     ell = np.asarray(ell, dtype=complex)
     lmax = float(np.max(np.abs(ell))) if ell.size else 0.0
-    n = _nterms(q, tail, lmax)
+    n = _nterms(q, lmax)
     starts = []
     k = 0
     while k < n:
@@ -220,33 +217,29 @@ class PochhammerLineView(LineView):
     is defined only mod 2*pi.
     """
 
-    def __init__(self, qbase: complex, a: complex, b: complex,
-                 tail: float = 1e-15):
+    def __init__(self, qbase: complex, a: complex, b: complex):
         if not 0 < abs(qbase) < 1:
             raise UsageError("product base must satisfy 0 < |q| < 1")
         self.qbase = complex(qbase)
         self.a = complex(a)
         self.b = complex(b)
-        self.tail = tail
         if self.a == 0:
             self.identically_zero = bool(np.isneginf(
-                _pochhammer_log(self.qbase, self.b, tail, phase=False)))
+                _pochhammer_log(self.qbase, self.b, phase=False)))
 
     def log_values(self, u):
         u = np.asarray(u, dtype=complex)
-        return _pochhammer_log(self.qbase, self.a * u + self.b, self.tail)
+        return _pochhammer_log(self.qbase, self.a * u + self.b)
 
     def log_abs(self, u):
         u = np.asarray(u, dtype=complex)
-        return _pochhammer_log(self.qbase, self.a * u + self.b, self.tail,
-                               phase=False)
+        return _pochhammer_log(self.qbase, self.a * u + self.b, phase=False)
 
-    def zeros(self, r):
-        """Solutions of a*u + b = qbase^{-k}, k >= 0, inside |u| <= r."""
+    def divisor(self, r):
+        """Zeros: the solutions of a*u + b = qbase^{-k}, k >= 0, inside
+        |u| <= r.  No poles."""
         if self.a == 0:
-            if self.identically_zero:
-                raise UsageError("identically zero on the line")
-            return []
+            return [], []
         out = []
         k = 0
         while True:
@@ -260,7 +253,7 @@ class PochhammerLineView(LineView):
             if k > 100000:
                 raise NumericError("zero enumeration did not terminate")
         out.sort(key=lambda t: abs(t[0]))
-        return out
+        return out, []
 
 
 class ProductLineView(LineView):
@@ -276,19 +269,14 @@ class ProductLineView(LineView):
     def log_abs(self, u):
         return sum(v.log_abs(u) for v in self.views)
 
-    def _divisor(self, r):
+    def divisor(self, r):
         z: RootList = []
         p: RootList = []
         for v in self.views:
-            z.extend(v.zeros(r))
-            p.extend(v.poles(r))
+            vz, vp = v.divisor(r)
+            z += vz
+            p += vp
         return _cancel(z, p)
-
-    def zeros(self, r):
-        return self._divisor(r)[0]
-
-    def poles(self, r):
-        return self._divisor(r)[1]
 
 
 class QuotientLineView(LineView):
@@ -307,18 +295,9 @@ class QuotientLineView(LineView):
     def log_abs(self, u):
         return self.num.log_abs(u) - self.den.log_abs(u)
 
-    def _divisor(self, r):
-        z = list(self.num.zeros(r)) + list(self.den.poles(r))
-        p = list(self.num.poles(r)) + list(self.den.zeros(r))
-        return _cancel(z, p)
-
-    def zeros(self, r):
-        if self.identically_zero:
-            raise UsageError("identically zero on the line")
-        return self._divisor(r)[0]
-
-    def poles(self, r):
-        return self._divisor(r)[1]
+    def divisor(self, r):
+        (nz, npole), (dz, dpole) = self.num.divisor(r), self.den.divisor(r)
+        return _cancel(nz + dpole, npole + dz)
 
 
 class FormCompositionLineView(LineView):
@@ -356,9 +335,6 @@ class FormCompositionLineView(LineView):
         total = np.sum(np.exp(stack - shift), axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             return shift + np.log(total.astype(complex))
-
-    def zeros(self, r):
-        raise UsageError("composition view has no closed-form zero set")
 
 
 class MonomialDeterminantLineView(LineView):
@@ -406,9 +382,6 @@ class MonomialDeterminantLineView(LineView):
 
     def log_values(self, u):
         return _scaled_slogdet(self.log_matrix(u)).reshape(np.shape(u))
-
-    def zeros(self, r):
-        raise UsageError("determinant view has no closed-form zero set")
 
 
 def _lsap_path() -> Optional[str]:
@@ -530,6 +503,3 @@ class DeterminantLineView(LineView):
 
     def log_values(self, u):
         return _scaled_slogdet(self.log_matrix(u)).reshape(np.shape(u))
-
-    def zeros(self, r):
-        raise UsageError("determinant view has no closed-form zero set")

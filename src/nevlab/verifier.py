@@ -21,7 +21,8 @@ import numpy as np
 from .errors import HypothesisFailure, UsageError
 from .funcspace import (CompositionSlice, HomogeneousForm, ProjectiveMap,
                         RationalSlice, SliceFunction, apply_form, as_slice,
-                        check_general_position, constant_slice)
+                        check_general_position, constant_slice,
+                        ideal_slice_dim)
 from .filtration import filtration_report, lift_to_common_degree
 from .nevcore import (NevSample, QuadratureSpec, RadialGrid, _line_sum,
                       characteristic, characteristic_function,
@@ -184,12 +185,12 @@ def _log_norm2(views, u: np.ndarray) -> np.ndarray:
 
 
 def _admissible_subsets(hyperplanes, n: int) -> List[Tuple[int, ...]]:
-    vecs = [h.coeff_vector() for h in hyperplanes]
+    """The (n+1)-subsets (all, if fewer) of linearly independent
+    hyperplanes, decided by exact rank."""
     size = min(n + 1, len(hyperplanes))
     out = []
     for K in itertools.combinations(range(len(hyperplanes)), size):
-        m = np.stack([vecs[k] for k in K])
-        if np.linalg.matrix_rank(m) == len(K):
+        if ideal_slice_dim([hyperplanes[k] for k in K], 1) == len(K):
             out.append(K)
     if not out:
         raise UsageError("no linearly independent hyperplane subset")

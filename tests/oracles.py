@@ -1,14 +1,16 @@
 """Oracles the tests check nevlab against; nevlab itself never calls them.
 
-Exact line restriction and pointwise complex evaluation of polynomials, the
-pairwise test of a q-periodic polynomial map, q-shifts rebuilt from exactly
-rescaled parts, the Fraction-based echelon
-form that `nevlab.linalg` replaced, and JSON writers for the objects that
-`nevlab.serialize` reads (only `polynomial_to_json` stays in nevlab, for
-the CLI's determinant output).
+Exact line restriction and pointwise complex evaluation of polynomials,
+the counting functions of a known divisor, the pairwise test of a
+q-periodic polynomial map, q-shifts rebuilt from exactly rescaled parts,
+the Fraction-based echelon form that `nevlab.linalg` replaced, and JSON
+writers for the objects that `nevlab.serialize` reads (only
+`polynomial_to_json` stays in nevlab, for the CLI's determinant output).
 """
 
+import collections
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +80,21 @@ def eval_abs_terms(p: Polynomial, points) -> np.ndarray:
     return out
 
 
+def divisor_counts(zeros, poles, radii):
+    """(N_zero, N_pole) per radius of a known divisor.  `zeros` and
+    `poles` list exact points, each once per unit of multiplicity; a point
+    in both cancels first, then N(r) = sum log(r / max(|a|, 1)) over the
+    points with |a| <= r."""
+    net = collections.Counter(zeros)
+    net.subtract(poles)
+
+    def count(sign, r):
+        return sum(sign * m * math.log(r / max(abs(a), 1.0))
+                   for a, m in net.items() if sign * m > 0 and abs(a) <= r)
+
+    return ([count(1, r) for r in radii], [count(-1, r) for r in radii])
+
+
 def q_periodic_map(polys, q: QShift) -> bool:
     """f(qz) = f(z) projectively, by cross-multiplying every pair of
     components: f_i(qz) f_j(z) = f_j(qz) f_i(z)."""
@@ -103,7 +120,7 @@ def qscale_exact(h: SliceFunction, q: QShift, k: int) -> SliceFunction:
     if isinstance(h, ProductEntireSlice):
         s = h.spec
         return ProductEntireSlice(
-            QPochhammerSpec(s.qbase, s.argument.scale_vars(f), s.tail))
+            QPochhammerSpec(s.qbase, s.argument.scale_vars(f)))
     if isinstance(h, ProductSlice):
         return ProductSlice([qscale_exact(p, q, k) for p in h.factors])
     if isinstance(h, QuotientSlice):
@@ -176,8 +193,7 @@ def product_entire_to_json(h: ProductEntireSlice) -> dict:
         qj = [str(Fraction(q)), "0"]
     else:
         qj = [complex(q).real, complex(q).imag]
-    return {"qbase": qj, "linear": polynomial_to_json(s.argument),
-            "tol": s.tail}
+    return {"qbase": qj, "linear": polynomial_to_json(s.argument)}
 
 
 def component_to_json(h: SliceFunction) -> dict:

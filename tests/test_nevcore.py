@@ -1,23 +1,30 @@
 """Counting, proximity, characteristic: closed forms and invariants."""
 
+import collections
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nevlab.errors import NumericError, UsageError
 from nevlab.funcspace import (ProductEntireSlice, ProductSlice,
-                              ProjectiveMap, QPochhammerSpec, RationalSlice,
-                              constant_slice)
+                              ProjectiveMap, QPochhammerSpec, QuotientSlice,
+                              RationalSlice, constant_slice)
 from nevlab.nevcore import (DirectionSet, NevSample, QuadratureSpec,
                             RadialGrid, characteristic,
                             characteristic_function, circle_mean_log, counting,
-                            _line_sum, directions_for, fit_slope,
+                            _line_counts, _line_sum, directions_for,
+                            fit_slope,
                             jensen_residual, order_estimate, proximity)
 from nevlab.funcspace import SliceFunction
 from nevlab.polynomials import Polynomial, RationalFunction
-from nevlab.slicing import LineView
+from nevlab.slicing import (LineView, PochhammerLineView, ProductLineView,
+                            QuotientLineView, RationalLineView)
+import nevlab.slicing as slicing
+from oracles import divisor_counts
 
 Z = Polynomial.variable(0, 1)
 X2, Y2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
@@ -269,6 +276,101 @@ def test_counting_evaluates_unit_circle_once_per_direction():
         assert abs(s.n_zero - math.log(s.r / 2)) < 1e-9
 
 
+def test_line_counts_asks_each_view_for_its_divisor_once(monkeypatch):
+    # a closed divisor is built once per line, at the largest radius, and
+    # every radius is counted from it; the calls keep their views alive,
+    # so no two of them share an id
+    calls = []
+    for cls in (slicing.RationalLineView, slicing.PochhammerLineView,
+                slicing.ProductLineView, slicing.QuotientLineView):
+        def counted(self, r, original=cls.divisor):
+            calls.append((self, r))
+            return original(self, r)
+
+        monkeypatch.setattr(cls, "divisor", counted)
+    poch = ProductEntireSlice(QPochhammerSpec(Fraction(1, 2), X2 + Y2))
+    h = QuotientSlice(ProductSlice([RationalSlice(X2 - 1), poch]),
+                      RationalSlice(Y2 - 2))
+    quad = QuadratureSpec(n_lines=3, n_theta=64, seed=2)
+    grid = RadialGrid((10.0, 100.0, 1000.0))
+    counting(h, grid, quad, DirectionSet.sample(2, quad))
+    assert collections.Counter(type(v).__name__ for v, _ in calls) == {
+        "QuotientLineView": 3, "ProductLineView": 3,
+        "RationalLineView": 6, "PochhammerLineView": 3}
+    assert len({id(v) for v, _ in calls}) == len(calls)
+    assert {r for _, r in calls} == {1000.0}
+
+
+# Gaussian half-integers: exact points at least 1/2 apart.  4|a|^2 is an
+# integer for each of them and 4r^2 is not for any radius here, so no
+# point lies on a counting circle.
+POINTS = st.builds(lambda a, b: complex(a / 2, b / 2),
+                   st.integers(-12, 12), st.integers(-12, 12))
+DIVISOR_RADII = (1.3, 2.9, 7.7, 20.3)
+
+
+@st.composite
+def composite_divisors(draw):
+    """A product or quotient of seeded RationalLineViews and one
+    PochhammerLineView, with the exact zeros and poles of each factor.
+
+    A zero of the Pochhammer factor always cancels against a root of the
+    first rational factor, and with two or more rational factors a zero of
+    the first cancels against a pole of the second (zeros and poles of the
+    whole view).  One polynomial has distinct roots: recovering a repeated
+    root from its coefficients is the separate subject of certified
+    multiplicities, while here multiplicities arise across factors."""
+    qinv = draw(st.sampled_from([2, 4]))
+    a = draw(st.sampled_from([1, 2, 0.5, 1j, -2]))
+    poch_zeros = [qinv ** k / a for k in range(12)]
+    poch_side = draw(st.booleans())  # True: numerator
+    rational = []  # [side, num roots, den roots, leading coefficient]
+    for _ in range(draw(st.integers(1, 3))):
+        # the numerator gets a factor: the first rational one, when the
+        # Pochhammer factor is in the denominator
+        rational.append([draw(st.booleans()) or not (rational or poch_side),
+                         draw(st.lists(POINTS, max_size=4, unique=True)),
+                         draw(st.lists(POINTS, max_size=4, unique=True)),
+                         draw(st.sampled_from([1, -2, 0.5j, 3 + 1j]))])
+
+    def add(factor, point, as_zero):
+        # num roots are zeros of a numerator factor, poles of a denominator
+        roots = factor[1] if as_zero == factor[0] else factor[2]
+        if point not in roots:
+            roots.append(point)
+
+    add(rational[0], draw(st.sampled_from(
+        [w for w in poch_zeros if abs(w) <= 8.5])), as_zero=not poch_side)
+    if len(rational) > 1:
+        shared = draw(POINTS)
+        add(rational[0], shared, as_zero=True)
+        add(rational[1], shared, as_zero=False)
+    sides = {True: [], False: []}
+    zeros, poles = (poch_zeros, []) if poch_side else ([], poch_zeros)
+    sides[poch_side].append(PochhammerLineView(1 / qinv, a, 0))
+    for side, nr, dr, lead in rational:
+        coeffs = [lead * (np.poly(r)[::-1] if r else np.ones(1))
+                  for r in (nr, dr)]
+        sides[side].append(RationalLineView(*coeffs))
+        zeros, poles = (zeros + nr, poles + dr) if side \
+            else (zeros + dr, poles + nr)
+    view = ProductLineView(draw(st.permutations(sides[True])))
+    if sides[False]:
+        view = QuotientLineView(view, ProductLineView(sides[False]))
+    return view, zeros, poles
+
+
+@settings(max_examples=60, deadline=None)
+@given(composite_divisors())
+def test_line_counts_match_known_divisor(case):
+    view, zeros, poles = case
+    nz, npole, err = _line_counts(view, DIVISOR_RADII, 64)
+    ez, ep = divisor_counts(zeros, poles, DIVISOR_RADII)
+    assert np.allclose(nz, ez, rtol=0, atol=1e-9)
+    assert np.allclose(npole, ep, rtol=0, atol=1e-9)
+    assert not np.any(err)
+
+
 def _reference_characteristic(f, grid, quad, dirs):
     """The per-radius loop that batched `characteristic` replaced: one
     circle per evaluation, half-step retry on the non-finite nodes only.
@@ -405,10 +507,11 @@ def _reference_jensen_residual(h, grid, old, dirs):
         v = h.line_view(xi)
         i1, e1 = old.mean_log(v, 1.0)
         for s in out:
+            zeros, poles = v.divisor(s.r)
             nz = sum(m * math.log(s.r / max(abs(a), 1.0))
-                     for a, m in v.zeros(s.r))
+                     for a, m in zeros if abs(a) <= s.r)
             npole = sum(m * math.log(s.r / max(abs(a), 1.0))
-                        for a, m in v.poles(s.r))
+                        for a, m in poles if abs(a) <= s.r)
             ir, er = old.mean_log(v, s.r)
             s.m_val += w * ((nz - npole) - (ir - i1))
             s.err += w * (er + e1)

@@ -22,7 +22,8 @@ from nevlab.qops import (N_SAMPLES, CasoratiSlice, MonomialCasoratiSlice,
                          ldl_ratio, linear_nondegeneracy, q_periodic_test,
                          qscale, scaled_samples, shift_counting_ratio)
 from nevlab.rationals import GaussianRational
-from nevlab.slicing import _dual_slogdet, _nterms, _pochhammer_log
+from nevlab.slicing import (POCHHAMMER_TAIL, _dual_slogdet, _nterms,
+                            _pochhammer_log)
 from oracles import (eval_abs_terms, eval_complex, qscale_exact,
                      qshift_numeric)
 
@@ -161,16 +162,16 @@ def _log_rounding(h, xi, u):
         ell = z @ lin + b
         size = np.abs(z) @ np.abs(lin) + abs(b)
         q = complex(h.spec.qbase)
-        n = _nterms(q, h.spec.tail, float(np.max(np.abs(ell))))
+        n = _nterms(q, float(np.max(np.abs(ell))))
         k = np.arange(n)[:, None]
         # ell from a dot product, q^k from a running product, then one
         # multiply, subtract, chunk product and log per factor
         err = (abs(q) ** k * (3 * (len(lin) + 2) * size
                               + 3 * (k + 2) * np.abs(ell)) + 4)
-        logs = _pochhammer_log(q, ell, h.spec.tail)
+        logs = _pochhammer_log(q, ell)
         return (EPS * (np.sum(err / np.abs(1 - q ** k * ell), axis=0)
                        + n * abs(logs))
-                + 2 * h.spec.tail / (1 - abs(q)))
+                + 2 * POCHHAMMER_TAIL / (1 - abs(q)))
     if isinstance(h, (ProductSlice, QuotientSlice)):
         parts = h.factors if isinstance(h, ProductSlice) else [h.num, h.den]
         return sum(_log_rounding(p, xi, u)

@@ -17,7 +17,8 @@ from nevlab.funcspace import (CompositionSlice, HomogeneousForm,
                               ProductEntireSlice, ProductSlice, ProjectiveMap,
                               QPochhammerSpec, QuotientSlice, RationalSlice,
                               constant_slice)
-from nevlab.nevcore import QuadratureSpec, RadialGrid, fmt_residual
+from nevlab.nevcore import (DirectionSet, QuadratureSpec, RadialGrid,
+                            counting, fmt_residual)
 from nevlab.polynomials import Polynomial, RationalFunction
 from nevlab.rationals import GaussianRational
 from nevlab.slicing import (ConstantLineView, DeterminantLineView,
@@ -283,8 +284,7 @@ def test_rational_line_view_cancellation():
     num = np.array([6.0, -5.0, 1.0], dtype=complex)
     den = np.array([-2.0, 1.0], dtype=complex)
     v = RationalLineView(num, den)
-    zeros = v.zeros(10.0)
-    poles = v.poles(10.0)
+    zeros, poles = v.divisor(10.0)
     assert sum(m for _, m in zeros) == 1
     assert abs(zeros[0][0] - 3.0) < 1e-8
     assert not poles
@@ -294,7 +294,7 @@ def test_rational_line_view_cancellation():
 # chunked q-Pochhammer kernel against the per-factor loop it replaced
 # ---------------------------------------------------------------------------
 
-def pochhammer_log_reference(qbase, ell, tail=1e-15):
+def pochhammer_log_reference(qbase, ell):
     """(sum_k log(1 - ell * q^k), min_k |1 - ell * q^k|): one log per
     factor, same term count, plus the factor nearest zero.
 
@@ -302,7 +302,7 @@ def pochhammer_log_reference(qbase, ell, tail=1e-15):
     phase of up to pi, and a running sum drifts by ~1e-9 over them."""
     q = complex(qbase)
     ell = np.asarray(ell, dtype=complex)
-    n = _nterms(q, tail, float(np.max(np.abs(ell))))
+    n = _nterms(q, float(np.max(np.abs(ell))))
     logs = []
     nearest = np.full(ell.shape, np.inf)
     qk = 1.0 + 0j
@@ -352,7 +352,7 @@ ell_arrays = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(fraction_bases, complex_bases), ell_arrays)
 def test_pochhammer_kernel_matches_per_factor_loop(qbase, ell):
-    assert_log_close(_pochhammer_log(qbase, ell, 1e-15),
+    assert_log_close(_pochhammer_log(qbase, ell),
                      *pochhammer_log_reference(qbase, ell))
 
 
@@ -360,10 +360,10 @@ def test_pochhammer_kernel_matches_per_factor_loop(qbase, ell):
 @given(complex_bases, ell_arrays)
 def test_pochhammer_kernel_keeps_shape(qbase, ell):
     grid = np.stack([ell, 0.5 * ell])
-    got = _pochhammer_log(qbase, grid, 1e-15)
+    got = _pochhammer_log(qbase, grid)
     assert got.shape == grid.shape
     assert_log_close(got, *pochhammer_log_reference(qbase, grid))
-    scalar = _pochhammer_log(qbase, ell[0], 1e-15)
+    scalar = _pochhammer_log(qbase, ell[0])
     assert scalar.shape == ()
     assert_log_close(scalar, *pochhammer_log_reference(qbase, ell[0]))
 
@@ -372,12 +372,12 @@ def test_pochhammer_kernel_exact_zero():
     # ell * q^k = 1 exactly: 4 * (1/2)^2 and -4 * (i/2)^2
     for qbase, root in ((Fraction(1, 2), 4.0), (0.5j, -4.0)):
         ell = np.array([root, 3.0, root * 1e120, 0.0]) + 0j
-        got = _pochhammer_log(qbase, ell, 1e-15)
+        got = _pochhammer_log(qbase, ell)
         assert got.real[0] == -np.inf
         assert np.all(np.isfinite(got[1:]))
         assert_log_close(got, *pochhammer_log_reference(qbase, ell))
     # 5e-324 from a zero: the chunk product leaves the normal range
-    assert _pochhammer_log(0.5, np.array([1 + 5e-324j]), 1e-15).real[0] \
+    assert _pochhammer_log(0.5, np.array([1 + 5e-324j])).real[0] \
         == -np.inf
     assert PochhammerLineView(0.5, 0.0, 4.0).identically_zero
     assert not PochhammerLineView(0.5, 0.0, 3.0).identically_zero
@@ -385,8 +385,8 @@ def test_pochhammer_kernel_exact_zero():
 
 def test_pochhammer_kernel_fraction_base_equals_complex_base():
     ell = np.array([0.3 + 2j, -70.0, 1e40j])
-    assert np.array_equal(_pochhammer_log(Fraction(3, 5), ell, 1e-15),
-                          _pochhammer_log(0.6 + 0j, ell, 1e-15))
+    assert np.array_equal(_pochhammer_log(Fraction(3, 5), ell),
+                          _pochhammer_log(0.6 + 0j, ell))
 
 
 gauss = st.builds(GaussianRational,
@@ -411,7 +411,7 @@ def reference_log(h, z):
             return np.log(complex(eval_complex(h.rf, z))), np.inf
     if isinstance(h, ProductEntireSlice):
         ell = complex(eval_complex(h.spec.argument, z))
-        return pochhammer_log_reference(h.spec.qbase, ell, h.spec.tail)
+        return pochhammer_log_reference(h.spec.qbase, ell)
     if isinstance(h, ProductSlice):
         parts = [reference_log(f, z) for f in h.factors]
         return sum(p for p, _ in parts), min(n for _, n in parts)
@@ -519,15 +519,20 @@ def test_nonzero_constant_gets_constant_view(c, xs, us):
     ref = RationalLineView([c.to_complex()], [1])
     assert view.log_values(u).tobytes() == ref.log_values(u).tobytes()
     assert view.log_abs(u).tobytes() == ref.log_abs(u).tobytes()
-    assert view.zeros(1e6) == [] and view.poles(1e6) == []
+    assert view.divisor(1e6) == ([], [])
     assert not view.identically_zero
 
 
-def test_zero_constant_keeps_rational_view():
-    view = constant_slice(0, 2).line_view(np.array([1.0, 1j]))
-    assert view.identically_zero
-    with pytest.raises(UsageError):
-        view.zeros(1.0)
+def test_counting_zero_constant_raises():
+    # the zero constant gets a ConstantLineView like every other constant;
+    # counting is where a view vanishing on its line is rejected
+    h = constant_slice(0, 2)
+    view = h.line_view(np.array([1.0, 1j]))
+    assert isinstance(view, ConstantLineView) and view.identically_zero
+    quad = QuadratureSpec(n_lines=2, n_theta=64, seed=0)
+    with pytest.raises(UsageError, match="vanishes identically"):
+        counting(h, RadialGrid((2.0, 4.0)), quad,
+                 DirectionSet.sample(2, quad))
 
 
 def test_form_composition_zero_component_gives_no_nan():

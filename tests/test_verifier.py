@@ -9,7 +9,8 @@ from nevlab import qops, verifier
 from nevlab.errors import HypothesisFailure, UsageError
 from nevlab.funcspace import (HomogeneousForm, ProductEntireSlice,
                               ProjectiveMap, QPochhammerSpec, QuotientSlice,
-                              RationalSlice, constant_slice)
+                              RationalSlice, check_general_position,
+                              constant_slice)
 from nevlab.nevcore import QuadratureSpec, RadialGrid
 from nevlab.polynomials import Polynomial, RationalFunction
 from nevlab.qops import QShift
@@ -94,6 +95,22 @@ def test_hsmt_weil_bounded_mode():
     rep = verify_hsmt_weil(f, H, Q2, GRID, QUAD)
     assert rep.margin_mode == "bounded"
     assert rep.verdict() is True
+
+
+def test_weil_subsets_use_exact_rank():
+    # a float rank drops these exactly independent pairs: the relative
+    # tolerance of numpy's matrix_rank sees [1, 10^16] and [1, 0] as
+    # parallel, and [1, 10^15], [0, 1] (determinant 1) likewise
+    f = ProjectiveMap([constant_slice(1, 1), RationalSlice(Z)])
+    H = [HomogeneousForm.hyperplane(c) for c in ([1, 10 ** 16], [1, 0])]
+    assert check_general_position(H, 1)[0]
+    assert verifier._admissible_subsets(H, 1) == [(0, 1)]
+    quad = QuadratureSpec(n_lines=1, n_theta=32, seed=6)
+    rep = verify_hsmt_weil(f, H, Q2, RadialGrid((10.0, 100.0)), quad)
+    assert len(rep.rows) == 2
+    H = [HomogeneousForm.hyperplane(c)
+         for c in ([1, 10 ** 15], [1, 0], [0, 1])]
+    assert verifier._admissible_subsets(H, 1) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_hypersurface_alpha_one_matches_cartan():
