@@ -300,6 +300,40 @@ def test_sampled_casorati_stdout_matches_golden(tmp_path, command, name,
         assert out == fh.read()
 
 
+def _poly3(terms):
+    return {"nvars": 3, "terms": [{"exps": list(e), "re": re, "im": "0"}
+                                  for e, re in terms]}
+
+
+# the gallery's four conics in general position
+GALLERY_CONICS = [
+    _poly3([((0, 2, 0), "1"), ((1, 0, 1), "-1")]),
+    _poly3([((0, 0, 2), "1"), ((1, 1, 0), "-1")]),
+    _poly3([((2, 0, 0), "1"), ((0, 2, 0), "2"), ((0, 0, 2), "3")]),
+    _poly3([((2, 0, 0), "1"), ((0, 1, 1), "1")]),
+]
+
+
+@pytest.mark.parametrize("theorem", ["cartan", "hypersurface"])
+def test_numeric_casoratian_verify_stdout_matches_golden(tmp_path, theorem):
+    # the product map's Casoratian (3 x 3 for cartan, the 15 x 15 monomial
+    # one at alpha 4 for hypersurface) is numeric, so N(r, 1/C) is read by
+    # Jensen from its log matrix on every circle: these bytes pin that path
+    with open(os.path.join(DATA, "golden_run.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(map=SAMPLED_MAPS["product"],
+               quad={"lines": 1, "theta": 64, "seed": 3})
+    if theorem == "hypersurface":
+        del cfg["hyperplanes"]
+        cfg.update(forms=GALLERY_CONICS, alpha=4)
+    code, out = run(["verify", theorem, "--config",
+                     write(tmp_path, "run.json", cfg)])
+    assert code == 0
+    golden = f"golden_verify_{theorem}_product.stdout"
+    with open(os.path.join(DATA, golden)) as fh:
+        assert out == fh.read()
+
+
 def _rational1(num, den):
     return {"num": {"nvars": 1, "terms": [{"exps": [e], "re": re, "im": im}
                                           for e, re, im in num]},
