@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -327,6 +328,8 @@ def _add_quad_flags(p):
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
+# parse_args keeps no state between calls, so one parser serves them all
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="nevlab", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)

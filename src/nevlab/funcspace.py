@@ -140,10 +140,11 @@ class ProductEntireSlice(SliceFunction):
         self.spec = spec
         self.nvars = spec.argument.nvars
         self._lin, self._const = spec.affine_parts()
+        self._qbase = complex(spec.qbase)
 
     def line_view(self, xi):
         a = complex(np.dot(self._lin, np.asarray(xi, dtype=complex)))
-        return PochhammerLineView(self.spec.qbase, a, self._const)
+        return PochhammerLineView(self._qbase, a, self._const)
 
     def __repr__(self):
         return (f"ProductEntireSlice(qbase={self.spec.qbase}, "

@@ -21,7 +21,7 @@ from .nevcore import (QuadratureSpec, RadialGrid, characteristic_function,
 from .polynomials import Polynomial, RationalFunction, try_divide
 from .rationals import GaussianRational
 from .slicing import (DeterminantLineView, MonomialDeterminantLineView,
-                      _dual_slogdet)
+                      _dual_slogdet, _entry_logs, _monomial_log_matrix)
 
 
 MONOMIAL_CAP = 64
@@ -141,16 +141,20 @@ class CasoratiSlice(SliceFunction):
         self.components = list(components)
         self.q = q
         self.nvars = self.components[0].nvars
+        # the Casoratian is the monomial one on the degree-1 monomials
+        n1 = len(self.components)
+        self.monos = [tuple(int(i == j) for i in range(n1))
+                      for j in range(n1)]
 
-    def _rows(self, xi, count: int) -> List[List]:
-        """The component views on the lines through q^k*xi, k < count."""
-        xi = np.asarray(xi, dtype=complex)
-        lines = [self.q.numeric_powers(k) * xi for k in range(count)]
-        return [[c.line_view(line) for c in self.components]
-                for line in lines]
+    def _rows(self, points) -> List[List]:
+        """The component views on the lines through q^k*z, k < M, for each
+        point z of points: M rows per point, point by point."""
+        powers = [self.q.numeric_powers(k) for k in range(len(self.monos))]
+        return [[c.line_view(p * z) for c in self.components]
+                for z in np.asarray(points, dtype=complex) for p in powers]
 
     def line_view(self, xi):
-        return DeterminantLineView(self._rows(xi, len(self.components)))
+        return DeterminantLineView(self._rows([xi]))
 
 
 def casorati(components: Sequence[SliceFunction], q: QShift) -> SliceFunction:
@@ -177,8 +181,7 @@ class MonomialCasoratiSlice(CasoratiSlice):
         self.monos = [tuple(e) for e in monos]
 
     def line_view(self, xi):
-        return MonomialDeterminantLineView(self._rows(xi, len(self.monos)),
-                                           self.monos)
+        return MonomialDeterminantLineView(self._rows([xi]), self.monos)
 
 
 def casorati_monomials(f: ProjectiveMap, alpha: int,
@@ -220,16 +223,19 @@ def _sample_points(m: int, count: int, seed: int) -> np.ndarray:
     return pts * scales
 
 
-def scaled_samples(det: SliceFunction, pts: np.ndarray) -> np.ndarray:
+def scaled_samples(det: CasoratiSlice, pts: np.ndarray) -> np.ndarray:
     """|det| at each point z of pts, relative to the largest single
     permutation term of its matrix (in [0, n^{n/2}]): a scale-free
     magnitude for deciding whether a sampled Casoratian vanishes there.
-    Each point is the node u = 1 on the line through it, so every point
-    builds its own log matrix; the matrices are scaled in one stacked
-    call."""
-    logm = np.stack([det.line_view(z).log_matrix(np.ones(1))[0]
-                     for z in pts])
-    return np.exp(_dual_slogdet(logm)[1])
+    Each point is the node u = 1 on the line through it, and row k of its
+    matrix the node u = 1 on the line through q^k*z.  These M lines per
+    point are the rows of one tall log matrix, so each component is
+    evaluated over all of them at once; the matrices are scaled in one
+    stacked call."""
+    M = len(det.monos)
+    logm = _monomial_log_matrix(_entry_logs(det._rows(pts), np.ones(1)),
+                                det.monos)
+    return np.exp(_dual_slogdet(logm.reshape(len(pts), M, M))[1])
 
 
 def decide_nonzero(det: SliceFunction, m: int,

@@ -55,9 +55,14 @@ def polynomial_from_json(obj, path: str = "polynomial") -> Polynomial:
     nvars = obj["nvars"]
     if not isinstance(nvars, int) or nvars < 1:
         _fail(path + ".nvars", "must be a positive integer")
+    terms_json = obj.get("terms", [])
+    if not isinstance(terms_json, list):
+        _fail(path + ".terms", "expected a list of terms")
     terms = {}
-    for i, t in enumerate(obj.get("terms", [])):
+    for i, t in enumerate(terms_json):
         tp = f"{path}.terms[{i}]"
+        if not isinstance(t, dict):
+            _fail(tp, "expected an object with exps, re and im")
         exps = t.get("exps")
         if (not isinstance(exps, list) or len(exps) != nvars
                 or any(not isinstance(e, int) or e < 0 for e in exps)):

@@ -19,6 +19,15 @@ their parts' divisors once per call, and the counting functional asks each
 line once, for its largest radius.  Entire views without closed zeros
 (form compositions and determinants) are still countable downstream
 through the Jensen integral.
+
+A determinant's entries come from one function on many lines: a Casoratian
+row k reads the components on the line through q^k*xi.  Each column is
+evaluated as one family of lines (_family_log_values): the K Pochhammer
+views of a component are one PochhammerLineView holding arrays (a_k, b_k),
+evaluated in one _pochhammer_log call whose rows are bitwise the lines
+alone, and a constant's one shared view is evaluated once.  Both
+determinant views and the sampled nondegeneracy test read their log
+matrices through this path; divisors and counting stay per line.
 """
 
 from __future__ import annotations
@@ -147,8 +156,11 @@ class RationalLineView(LineView):
 # below 10**_CHUNK_LOG10 in magnitude
 _CHUNK = 16
 _CHUNK_LOG10 = 250.0
-# chunks per block: bounds the (factors x nodes) array of one pass
+# chunks per block: bounds the term axis of one pass
 _BLOCK = 32
+# factor entries (terms x nodes) one pass holds at most: splitting the nodes
+# bounds memory without changing any node's result
+_PASS = 2 ** 15
 _TINY = np.finfo(float).tiny
 
 
@@ -162,24 +174,10 @@ def _nterms(qbase: complex, lmax: float) -> int:
     return max(1, int(math.ceil(k)) + 1)
 
 
-def _pochhammer_log(qbase, ell, phase: bool = True) -> np.ndarray:
-    """sum_{k < n} log(1 - ell * qbase^k) for an array ell of any shape,
-    with n = _nterms(max |ell|); with phase=False only its real part,
-    log|prod|, skipping the angle pass.
-
-    Consecutive factors are multiplied in chunks that take one log each.
-    Every factor of a chunk starting at term k has magnitude at most
-    1 + max|ell| * |q|^k, which sets the chunk length so that its product
-    cannot overflow.  The real part is log|prod|; the imaginary part is
-    defined only mod 2*pi.  A zero factor gives a -inf real part, and so
-    does a chunk whose product falls below the normal double range, which
-    needs one factor below ~1e-250 (for |q| <= 0.9999): the node lies on a
-    zero to double precision.
-    """
-    q = complex(qbase)
-    ell = np.asarray(ell, dtype=complex)
-    lmax = float(np.max(np.abs(ell))) if ell.size else 0.0
-    n = _nterms(q, lmax)
+def _chunk_starts(q: complex, lmax: float, n: int) -> List[int]:
+    """The first term of each chunk.  Every factor of a chunk starting at
+    term k has magnitude at most 1 + lmax * |q|^k, which sets the chunk
+    length so that its product cannot overflow."""
     starts = []
     k = 0
     while k < n:
@@ -187,25 +185,71 @@ def _pochhammer_log(qbase, ell, phase: bool = True) -> np.ndarray:
         grow = math.log10(1.0 + lmax * abs(q) ** k)
         k += _CHUNK if grow * _CHUNK <= _CHUNK_LOG10 \
             else max(1, int(_CHUNK_LOG10 / grow))
-    qpow = np.cumprod(np.concatenate(([1.0 + 0j], np.full(n - 1, q))))
-    flat = ell.reshape(-1)
-    logabs = np.zeros(flat.size)
-    arg = np.zeros(flat.size)
-    with np.errstate(divide="ignore"):
-        for b in range(0, len(starts), _BLOCK):
-            lo = starts[b]
-            hi = starts[b + _BLOCK] if b + _BLOCK < len(starts) else n
-            factors = 1 - np.multiply.outer(qpow[lo:hi], flat)
-            prods = np.multiply.reduceat(
-                factors, np.asarray(starts[b:b + _BLOCK]) - lo, axis=0)
-            # log|.| and angle separately: numpy's complex log is several
-            # times slower on these large-magnitude products
-            mag = np.abs(prods)
-            # a subnormal product has lost its precision: read it as a zero
-            mag[mag < _TINY] = 0.0
-            logabs += np.sum(np.log(mag), axis=0)
-            if phase:
-                arg += np.sum(np.angle(prods), axis=0)
+    return starts
+
+
+def _pochhammer_log(qbase, ell, phase: bool = True) -> np.ndarray:
+    """sum_{k < n} log(1 - ell * qbase^k) for an array ell whose leading
+    axis is a family of lines, with n = _nterms(max |ell|) on each line
+    (row); with phase=False only its real part, log|prod|, skipping the
+    angle pass.
+
+    Consecutive factors are multiplied in chunks that take one log each
+    (_chunk_starts).  Rows whose chunks all have full length share one
+    pass, in which the factors past a row's own term count are exactly 1,
+    so every row is bitwise its result alone; any other row takes a pass
+    of its own.  The chunk logs are summed in chunk order, which does not
+    depend on how many nodes share the pass.  The real part is log|prod|;
+    the imaginary part is defined only mod 2*pi.  A zero factor gives a
+    -inf real part, and so does a chunk whose product falls below the
+    normal double range, which needs one factor below ~1e-250 (for
+    |q| <= 0.9999): the node lies on a zero to double precision.
+    """
+    q = complex(qbase)
+    ell = np.asarray(ell, dtype=complex)
+    rows = ell.reshape(len(ell), -1)
+    lmax = np.max(np.abs(rows), axis=1, initial=0.0).tolist()
+    nterms = np.array([_nterms(q, m) for m in lmax])
+    full = [math.log10(1.0 + m) * _CHUNK <= _CHUNK_LOG10 for m in lmax]
+    groups = [[r for r, f in enumerate(full) if f]] + \
+        [[r] for r, f in enumerate(full) if not f]
+    logabs = np.zeros(rows.shape)
+    arg = np.zeros(rows.shape)
+    for group in filter(None, groups):
+        n = int(nterms[group].max())
+        starts = np.array(_chunk_starts(q, max(lmax[r] for r in group), n))
+        qpow = np.cumprod(np.concatenate(([1.0 + 0j], np.full(n - 1, q))))
+        flat = rows[group].reshape(-1)
+        # each node's own term count
+        own = np.repeat(nterms[group], rows.shape[1])
+        la, ar = np.zeros(flat.size), np.zeros(flat.size)
+        step = max(1, _PASS // min(n, _BLOCK * _CHUNK))
+        with np.errstate(divide="ignore"):
+            for e in range(0, flat.size, step):
+                nodes = slice(e, e + step)
+                for b in range(0, len(starts), _BLOCK):
+                    lo = starts[b]
+                    hi = starts[b + _BLOCK] if b + _BLOCK < len(starts) \
+                        else n
+                    factors = np.multiply.outer(qpow[lo:hi], flat[nodes])
+                    # in place: 1 - outer(...) takes several times longer
+                    np.subtract(1, factors, out=factors)
+                    if own[nodes].min() < hi:
+                        factors[np.arange(lo, hi)[:, None] >= own[nodes]] = 1
+                    prods = np.multiply.reduceat(
+                        factors, starts[b:b + _BLOCK] - lo, axis=0)
+                    # log|.| and angle separately: numpy's complex log is
+                    # several times slower on these large-magnitude products
+                    mag = np.abs(prods)
+                    # a subnormal product has lost its precision: read it
+                    # as a zero
+                    mag[mag < _TINY] = 0.0
+                    la[nodes] += np.add.accumulate(np.log(mag), axis=0)[-1]
+                    if phase:
+                        ar[nodes] += np.add.accumulate(np.angle(prods),
+                                                       axis=0)[-1]
+        logabs[group] = la.reshape(len(group), -1)
+        arg[group] = ar.reshape(len(group), -1)
     return (logabs + 1j * arg if phase else logabs).reshape(ell.shape)
 
 
@@ -214,26 +258,36 @@ class PochhammerLineView(LineView):
 
     Both paths take one log per chunk of factors (_pochhammer_log): log_abs
     reads the chunk magnitudes alone, and the imaginary part of log_values
-    is defined only mod 2*pi.
+    is defined only mod 2*pi.  Arrays (a_k, b_k) make the view of a family
+    of K lines, read only through log_values and log_abs: its values carry
+    a leading line axis, and all K lines take one _pochhammer_log call.
     """
 
-    def __init__(self, qbase: complex, a: complex, b: complex):
+    def __init__(self, qbase: complex, a, b):
         if not 0 < abs(qbase) < 1:
             raise UsageError("product base must satisfy 0 < |q| < 1")
         self.qbase = complex(qbase)
+        if isinstance(a, np.ndarray):
+            self.a, self.b = a, b
+            return
         self.a = complex(a)
         self.b = complex(b)
         if self.a == 0:
             self.identically_zero = bool(np.isneginf(
-                _pochhammer_log(self.qbase, self.b, phase=False)))
+                _pochhammer_log(self.qbase, [self.b], phase=False)[0]))
+
+    def _log(self, u, phase: bool) -> np.ndarray:
+        u = np.asarray(u, dtype=complex)
+        lead = (-1,) + (1,) * u.ndim
+        out = _pochhammer_log(self.qbase, np.reshape(self.a, lead) * u
+                              + np.reshape(self.b, lead), phase)
+        return out if isinstance(self.a, np.ndarray) else out[0]
 
     def log_values(self, u):
-        u = np.asarray(u, dtype=complex)
-        return _pochhammer_log(self.qbase, self.a * u + self.b)
+        return self._log(u, phase=True)
 
     def log_abs(self, u):
-        u = np.asarray(u, dtype=complex)
-        return _pochhammer_log(self.qbase, self.a * u + self.b, phase=False)
+        return self._log(u, phase=False)
 
     def divisor(self, r):
         """Zeros: the solutions of a*u + b = qbase^{-k}, k >= 0, inside
@@ -337,6 +391,51 @@ class FormCompositionLineView(LineView):
             return shift + np.log(total.astype(complex))
 
 
+def _family_log_values(views: Sequence[LineView], u: np.ndarray) -> np.ndarray:
+    """log_values of the views of one function on K lines at the nodes u,
+    stacked on a leading line axis: (K,) + u.shape.  A view shared by
+    every line (a constant) is evaluated once; Pochhammer views of one base
+    are one family view; any other view is evaluated line by line."""
+    first = views[0]
+    if all(v is first for v in views):
+        return np.broadcast_to(first.log_values(u), (len(views),) + u.shape)
+    if all(type(v) is PochhammerLineView and v.qbase == first.qbase
+           for v in views):
+        return PochhammerLineView(
+            first.qbase, np.array([v.a for v in views]),
+            np.array([v.b for v in views])).log_values(u)
+    return np.stack([v.log_values(u) for v in views])
+
+
+def _entry_logs(rows: Sequence[Sequence[LineView]], u) -> np.ndarray:
+    """comp[k, node, j]: the log of rows[k][j] at the flattened nodes u.
+    Each column, one function on the K lines of the rows, is one family
+    evaluation."""
+    flat = np.asarray(u, dtype=complex).ravel()
+    return np.stack([_family_log_values(col, flat) for col in zip(*rows)],
+                    axis=-1)
+
+
+def _monomial_log_matrix(comp: np.ndarray, monomials) -> np.ndarray:
+    """The (nodes, K, M) log matrix whose (k, I) entry is the monomial
+    prod_j c_j^{I_j} on line k, from the component logs comp[k, node, j]:
+    every entry is an integer combination of them."""
+    emat = np.asarray(monomials, dtype=float)  # (M, n1)
+    # by parts: a zero or pole raised to the power 0 is 1, where the
+    # product 0 * inf would read NaN
+    fin = np.isfinite(comp.real)
+    logm = np.where(fin, comp, 0) @ emat.T  # logm[k, node, I]
+    if not np.all(fin):
+        used = (emat.T > 0).astype(float)
+        re = logm.real
+        zero = np.isneginf(comp.real) @ used > 0
+        pole = np.isposinf(comp.real) @ used > 0
+        re[zero] = -np.inf
+        re[pole] = np.inf
+        re[zero & pole] = np.nan  # 0 * inf
+    return logm.transpose(1, 0, 2)
+
+
 class MonomialDeterminantLineView(LineView):
     """Determinant whose (k, I) entry is the monomial prod_j c_j^{I_j}
     evaluated on the k-th shifted copy of the component views.
@@ -357,28 +456,7 @@ class MonomialDeterminantLineView(LineView):
 
     def log_matrix(self, u) -> np.ndarray:
         """The (nodes, M, M) log matrix at the flattened nodes u."""
-        flat = np.asarray(u, dtype=complex).ravel()
-        M = len(self.monos)
-        emat = np.asarray(self.monos, dtype=float)  # (M, n1)
-        # comp[k, :, j]: log of component j under shift k at the nodes
-        comp = np.stack([np.stack([v.log_values(flat) for v in row], axis=1)
-                         for row in self.rows])
-        # by parts: a zero or pole raised to the power 0 is 1, where the
-        # product 0 * inf would read NaN
-        fin = np.isfinite(comp.real)
-        safe = np.where(fin, comp, 0)
-        logm = np.empty((flat.size, M, M), dtype=complex)
-        for k in range(M):
-            logm[:, k, :] = safe[k] @ emat.T
-        if not np.all(fin):
-            used = (emat.T > 0).astype(float)
-            re = logm.real.transpose(1, 0, 2)  # re[k, node, I]
-            zero = np.isneginf(comp.real) @ used > 0
-            pole = np.isposinf(comp.real) @ used > 0
-            re[zero] = -np.inf
-            re[pole] = np.inf
-            re[zero & pole] = np.nan  # 0 * inf
-        return logm
+        return _monomial_log_matrix(_entry_logs(self.rows, u), self.monos)
 
     def log_values(self, u):
         return _scaled_slogdet(self.log_matrix(u)).reshape(np.shape(u))
@@ -493,13 +571,7 @@ class DeterminantLineView(LineView):
 
     def log_matrix(self, u) -> np.ndarray:
         """The (nodes, n, n) log matrix at the flattened nodes u."""
-        flat = np.asarray(u, dtype=complex).ravel()
-        n = len(self.matrix)
-        logm = np.empty((flat.size, n, n), dtype=complex)
-        for i, row in enumerate(self.matrix):
-            for j, v in enumerate(row):
-                logm[:, i, j] = v.log_values(flat)
-        return logm
+        return _entry_logs(self.matrix, u).transpose(1, 0, 2)
 
     def log_values(self, u):
         return _scaled_slogdet(self.log_matrix(u)).reshape(np.shape(u))

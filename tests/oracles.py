@@ -3,7 +3,8 @@
 Exact line restriction and pointwise complex evaluation of polynomials,
 the counting functions of a known divisor, the pairwise test of a
 q-periodic polynomial map, q-shifts rebuilt from exactly rescaled parts,
-the Fraction-based echelon form that `nevlab.linalg` replaced, and JSON
+the Fraction-based echelon form that `nevlab.linalg` replaced, the
+determinant log matrices read one shifted line at a time, and JSON
 writers for the objects that `nevlab.serialize` reads (only
 `polynomial_to_json` stays in nevlab, for the CLI's determinant output).
 """
@@ -25,6 +26,7 @@ from nevlab.polynomials import Polynomial, RationalFunction
 from nevlab.qops import QShift
 from nevlab.rationals import GaussianRational
 from nevlab.serialize import polynomial_to_json
+from nevlab.slicing import MonomialDeterminantLineView, _dual_slogdet
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +130,51 @@ def qscale_exact(h: SliceFunction, q: QShift, k: int) -> SliceFunction:
                              qscale_exact(h.den, q, k))
     return CompositionSlice(h.coeffs,
                             [qscale_exact(c, q, k) for c in h.components])
+
+
+# ---------------------------------------------------------------------------
+# determinant views, one shifted line at a time
+# ---------------------------------------------------------------------------
+
+def log_matrix_per_view(view, u) -> np.ndarray:
+    """The (nodes, M, M) log matrix of a DeterminantLineView or a
+    MonomialDeterminantLineView with one log_values call per entry view,
+    i.e. per component and shifted line: the loops that the family path
+    replaced."""
+    flat = np.asarray(u, dtype=complex).ravel()
+    if not isinstance(view, MonomialDeterminantLineView):
+        n = len(view.matrix)
+        logm = np.empty((flat.size, n, n), dtype=complex)
+        for i, row in enumerate(view.matrix):
+            for j, v in enumerate(row):
+                logm[:, i, j] = v.log_values(flat)
+        return logm
+    M = len(view.monos)
+    emat = np.asarray(view.monos, dtype=float)
+    comp = np.stack([np.stack([v.log_values(flat) for v in row], axis=1)
+                     for row in view.rows])
+    fin = np.isfinite(comp.real)
+    safe = np.where(fin, comp, 0)
+    logm = np.empty((flat.size, M, M), dtype=complex)
+    for k in range(M):
+        logm[:, k, :] = safe[k] @ emat.T
+    if not np.all(fin):
+        used = (emat.T > 0).astype(float)
+        re = logm.real.transpose(1, 0, 2)
+        zero = np.isneginf(comp.real) @ used > 0
+        pole = np.isposinf(comp.real) @ used > 0
+        re[zero] = -np.inf
+        re[pole] = np.inf
+        re[zero & pole] = np.nan
+    return logm
+
+
+def scaled_samples_per_point(det, pts) -> np.ndarray:
+    """qops.scaled_samples with one determinant view, and one log matrix
+    read line by line, per sample point."""
+    logm = np.stack([log_matrix_per_view(det.line_view(z), np.ones(1))[0]
+                     for z in pts])
+    return np.exp(_dual_slogdet(logm)[1])
 
 
 # ---------------------------------------------------------------------------

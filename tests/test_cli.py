@@ -84,6 +84,45 @@ def test_nev_malformed_grid_is_usage_error(tmp_path, spec):
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("poly", [
+    {"nvars": 1, "terms": [[[1], ["1", "0"]]]},
+    {"nvars": 1, "terms": {"exps": [1], "re": "1", "im": "0"}}])
+def test_nev_malformed_terms_is_usage_error(tmp_path, poly):
+    fn = write(tmp_path, "fn.json", poly)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nevlab.cli", "nev", "--fn", fn,
+         "--grid", "10:100:3"], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"usage error: {fn}.terms")
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_reuses_one_parser(tmp_path):
+    # consecutive calls, with usage errors between them, answer exactly as
+    # calls that each build a fresh parser
+    fn = write(tmp_path, "fn.json", POLY_Z)
+    mp = write(tmp_path, "map.json", MAP_1Z)
+    q = write(tmp_path, "q.json", Q2)
+    argvs = [["nev", "--fn", fn, "--grid", "10:100:2", "--lines", "2",
+              "--theta", "16"],
+             ["verify", "nope", "--config", fn],
+             ["casorati", "--map", mp, "--q", q],
+             ["nev", "--fn", fn, "--grid", "10:100:2", "--bogus"],
+             ["nondegeneracy", "--map", mp, "--q", q],
+             ["nev", "--fn", fn, "--grid", "10:1000:3", "--lines", "2",
+              "--theta", "16"]]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in argvs] == fresh
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _ in fresh] == [0, 1, 0, 1, 0, 0]
+
+
 def test_nev_bad_flag_combination(tmp_path):
     fn = write(tmp_path, "fn.json", POLY_Z)
     mp = write(tmp_path, "map.json", MAP_1Z)

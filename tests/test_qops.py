@@ -22,10 +22,10 @@ from nevlab.qops import (N_SAMPLES, CasoratiSlice, MonomialCasoratiSlice,
                          ldl_ratio, linear_nondegeneracy, q_periodic_test,
                          qscale, scaled_samples, shift_counting_ratio)
 from nevlab.rationals import GaussianRational
-from nevlab.slicing import (POCHHAMMER_TAIL, _dual_slogdet, _nterms,
-                            _pochhammer_log)
-from oracles import (eval_abs_terms, eval_complex, qscale_exact,
-                     qshift_numeric)
+from nevlab.slicing import POCHHAMMER_TAIL, _nterms, _pochhammer_log
+import nevlab.slicing as slicing
+from oracles import (eval_abs_terms, eval_complex, log_matrix_per_view,
+                     qscale_exact, qshift_numeric, scaled_samples_per_point)
 
 Z = Polynomial.variable(0, 1)
 Q2 = QShift([2])
@@ -168,7 +168,7 @@ def _log_rounding(h, xi, u):
         # multiply, subtract, chunk product and log per factor
         err = (abs(q) ** k * (3 * (len(lin) + 2) * size
                               + 3 * (k + 2) * np.abs(ell)) + 4)
-        logs = _pochhammer_log(q, ell)
+        logs = _pochhammer_log(q, ell[None])[0]
         return (EPS * (np.sum(err / np.abs(1 - q ** k * ell), axis=0)
                        + n * abs(logs))
                 + 2 * POCHHAMMER_TAIL / (1 - abs(q)))
@@ -462,11 +462,61 @@ def test_scaled_samples_stacked_equal_per_point():
     for det in dets:
         got = scaled_samples(det, pts)
         assert got.shape == (N_SAMPLES,)
-        for g, z in zip(got, pts):
-            # one stacked call equals one call per point, bit for bit
-            logm = det.line_view(z).log_matrix(np.ones(1))[0]
-            assert g.tobytes() == np.exp(_dual_slogdet(logm)[1]).tobytes()
+        # one family evaluation over all 8 * M lines equals one log matrix
+        # per point read line by line, bit for bit
+        assert got.tobytes() == scaled_samples_per_point(det, pts).tobytes()
     assert np.all(got < qops.SAMPLE_THRESHOLD)
+
+
+# (map, q, alpha): Pochhammer components with a constant, and a mixed map
+# whose rational components are read line by line inside the family call
+FAMILY_CASES = [(_product_map, [2, 2], 4), (_product_map, [1.1, 1.1], 2),
+                (_mixed_map, [Fraction(5, 4), Fraction(-3, 4)], 2),
+                (_mixed_map, [1.1, -0.7 + 0.2j], 1)]
+
+
+@pytest.mark.parametrize("make, q, alpha", FAMILY_CASES)
+def test_family_log_matrix_equals_per_view_loop(make, q, alpha):
+    f, q = make(), QShift(q)
+    rng = np.random.default_rng(11)
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    for det in (casorati(f.components, q), casorati_monomials(f, alpha, q)):
+        for r in (10.0, 1000.0):
+            xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            view = det.line_view(xi)
+            for u in (r * circle, np.ones(1)):
+                got = view.log_matrix(u)
+                ref = log_matrix_per_view(view, u)
+                assert got.shape == ref.shape
+                assert np.array_equal(got, ref, equal_nan=True)
+        pts = _sample_points(2, N_SAMPLES, 5)
+        assert scaled_samples(det, pts).tobytes() == \
+            scaled_samples_per_point(det, pts).tobytes()
+
+
+def test_one_kernel_call_per_component_family(monkeypatch):
+    # the product map has two Pochhammer components: one kernel call each
+    # per log matrix and per set of sample points, whatever the shift count
+    calls = []
+    kernel = slicing._pochhammer_log
+
+    def counted(qbase, ell, phase=True):
+        calls.append(np.shape(ell))
+        return kernel(qbase, ell, phase)
+
+    monkeypatch.setattr(slicing, "_pochhammer_log", counted)
+    f, q = _product_map(), QShift([2, 2])
+    u = 100.0 * np.exp(2j * np.pi * np.arange(64) / 64)
+    pts = _sample_points(2, N_SAMPLES, 7)
+    for det, M in ((casorati(f.components, q), 3),
+                   (casorati_monomials(f, 4, q), 15)):
+        view = det.line_view(np.array([1.0, 0.5j]))
+        calls.clear()
+        view.log_matrix(u)
+        assert calls == [(M, 64)] * 2
+        calls.clear()
+        scaled_samples(det, pts)
+        assert calls == [(N_SAMPLES * M, 1)] * 2
 
 
 def test_sampled_verdict_scales_all_points_in_one_call(monkeypatch):

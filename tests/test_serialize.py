@@ -53,6 +53,18 @@ def test_polynomial_rejects_bad_exps():
         polynomial_from_json(obj)
 
 
+@pytest.mark.parametrize("terms, where", [
+    ([[[1], ["1", "0"]]], r"polynomial\.terms\[0\]:"),
+    ([{"exps": [1], "re": "1", "im": "0"}, "z"], r"polynomial\.terms\[1\]:"),
+    ({"exps": [1], "re": "1", "im": "0"}, r"polynomial\.terms:"),
+    ("z", r"polynomial\.terms:")])
+def test_polynomial_rejects_malformed_terms(terms, where):
+    # a term that is not an object, or terms that are not a list, name
+    # their path instead of failing inside the reader
+    with pytest.raises(UsageError, match=where):
+        polynomial_from_json({"nvars": 1, "terms": terms})
+
+
 def test_form_roundtrip_and_degree_check():
     D = HomogeneousForm(3, 2, {(0, 2, 0): 1, (1, 0, 1): -1})
     assert roundtrip_via_text(D, form_to_json, form_from_json).terms == D.terms

@@ -352,27 +352,32 @@ ell_arrays = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(fraction_bases, complex_bases), ell_arrays)
 def test_pochhammer_kernel_matches_per_factor_loop(qbase, ell):
-    assert_log_close(_pochhammer_log(qbase, ell),
+    # one line: a family of one row
+    assert_log_close(_pochhammer_log(qbase, ell[None])[0],
                      *pochhammer_log_reference(qbase, ell))
 
 
 @settings(max_examples=20, deadline=None)
 @given(complex_bases, ell_arrays)
 def test_pochhammer_kernel_keeps_shape(qbase, ell):
-    grid = np.stack([ell, 0.5 * ell])
+    # a family of two lines with a (2, n) node grid each; each line keeps
+    # its own term count
+    grid = np.stack([np.stack([ell, 0.5 * ell]), np.stack([ell, 2 * ell])])
     got = _pochhammer_log(qbase, grid)
     assert got.shape == grid.shape
-    assert_log_close(got, *pochhammer_log_reference(qbase, grid))
-    scalar = _pochhammer_log(qbase, ell[0])
-    assert scalar.shape == ()
-    assert_log_close(scalar, *pochhammer_log_reference(qbase, ell[0]))
+    for line, row in zip(got, grid):
+        assert_log_close(line, *pochhammer_log_reference(qbase, row))
+    # one line with a single node
+    point = _pochhammer_log(qbase, ell[:1])
+    assert point.shape == (1,)
+    assert_log_close(point[0], *pochhammer_log_reference(qbase, ell[0]))
 
 
 def test_pochhammer_kernel_exact_zero():
     # ell * q^k = 1 exactly: 4 * (1/2)^2 and -4 * (i/2)^2
     for qbase, root in ((Fraction(1, 2), 4.0), (0.5j, -4.0)):
         ell = np.array([root, 3.0, root * 1e120, 0.0]) + 0j
-        got = _pochhammer_log(qbase, ell)
+        got = _pochhammer_log(qbase, ell[None])[0]
         assert got.real[0] == -np.inf
         assert np.all(np.isfinite(got[1:]))
         assert_log_close(got, *pochhammer_log_reference(qbase, ell))
@@ -385,8 +390,59 @@ def test_pochhammer_kernel_exact_zero():
 
 def test_pochhammer_kernel_fraction_base_equals_complex_base():
     ell = np.array([0.3 + 2j, -70.0, 1e40j])
-    assert np.array_equal(_pochhammer_log(Fraction(3, 5), ell),
-                          _pochhammer_log(0.6 + 0j, ell))
+    assert np.array_equal(_pochhammer_log(Fraction(3, 5), ell[None]),
+                          _pochhammer_log(0.6 + 0j, ell[None]))
+
+
+family_bases = st.one_of(
+    st.floats(0.2, 0.95).flatmap(lambda m: st.sampled_from([m, -m])),
+    st.builds(lambda m, t: complex(m * np.cos(t), m * np.sin(t)),
+              st.floats(0.2, 0.95), st.floats(0.0, 2 * np.pi)))
+
+
+def _family(ratio, K, N, scale, wide):
+    """ell[k] = (a * u + b) * ratio^k on N nodes u of one circle: the
+    arguments of K shifted lines.  With wide the last line is scaled past
+    1e16, where its chunks shorten; then one node of the first line is put
+    exactly on the zero of the first factor (ell = 1)."""
+    u = scale * np.exp(2j * np.pi * (np.arange(N) + 0.25) / N)
+    ell = np.stack([(0.7 - 0.4j) * u * ratio ** k + 0.3 for k in range(K)])
+    if wide:
+        ell[-1] *= 1e17 / np.max(np.abs(ell[-1]))
+    ell[0, 0] = 1.0
+    return ell
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_bases, st.sampled_from([2.0, 1.1, -0.7 + 0.2j]),
+       st.integers(1, 28), st.integers(1, 9), st.floats(0.5, 1e4),
+       st.booleans(), st.booleans())
+def test_pochhammer_family_is_bitwise_per_line(qbase, ratio, K, N, scale,
+                                               wide, phase):
+    ell = _family(ratio, K, N, scale, wide)
+    got = _pochhammer_log(qbase, ell, phase)
+    lines = [_pochhammer_log(qbase, ell[k:k + 1], phase)[0]
+             for k in range(K)]
+    assert np.array_equal(got, np.stack(lines), equal_nan=True)
+    assert np.isneginf(got.real[0, 0])
+
+
+def test_pochhammer_pass_cap_keeps_bits(monkeypatch):
+    # splitting the nodes into passes of at most _PASS factor entries
+    # leaves every node's result unchanged
+    ells = [_family(2.0, 28, 64, 10.0, False),
+            _family(-0.7 + 0.2j, 5, 3, 1e3, True)]
+
+    def evaluate(cap):
+        monkeypatch.setattr(slicing, "_PASS", cap)
+        return [_pochhammer_log(q, ell, phase)
+                for q in (0.6, 0.3 + 0.8j) for ell in ells
+                for phase in (True, False)]
+
+    uncapped = evaluate(2 ** 40)
+    for cap in (1, 7, 200, 2 ** 15):
+        for g, w in zip(evaluate(cap), uncapped):
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 gauss = st.builds(GaussianRational,
