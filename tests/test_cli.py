@@ -426,6 +426,27 @@ def test_exact_casorati_stdout_matches_golden(tmp_path, name):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["verify", "cartan", "--config", "golden_run_degree3.json"],
+     "golden_verify_cartan_degree3.stdout"),
+    (["verify", "hsmt", "--config", "golden_run_degree3.json"],
+     "golden_verify_hsmt_degree3.stdout"),
+    (["nev", "--fn", "golden_fn_rational.json", "--grid", "10:10000:5"],
+     "golden_nev_rational.stdout")])
+def test_default_quadrature_stdout_matches_golden(argv, golden):
+    # the CLI default quadrature, 64 lines x 512 theta: a functional then
+    # reads more line x node entries than one bounded pass holds, so these
+    # bytes pin the split passes.  The map is a degree-3 map C^2 -> P^2
+    # with five hyperplanes from the seed-7 rational_maps benchmark
+    # stream; the function has complex coefficients and poles
+    argv = [os.path.join(DATA, a) if a.endswith(".json") else a
+            for a in argv]
+    code, out = run(argv)
+    assert code == 0
+    with open(os.path.join(DATA, golden)) as fh:
+        assert out == fh.read()
+
+
 @pytest.mark.parametrize("command, golden", [
     (["filtration", "inspect", "--alpha", "8"],
      "golden_filtration_conics_gaussian_alpha8.json"),
