@@ -7,11 +7,13 @@ q-Pochhammer-type infinite product, whose zero set along any line is known
 in closed form.  Quotients and products of these cover every test case the
 harnesses need.
 
-Slice functions are evaluated only through line views.  A point z is the
-node u = 1 on the line through z, so log h(z) is
-h.line_view(z).log_values(np.ones(1))[0].  A rescaling is a change of line
-as well: h(q z) on the line through xi is h on the line through q*xi
-(ShiftedSlice), so no slice class rescales itself.  Only a rational h
+Slice functions are evaluated only through line views, and each view is
+the bundle of all the lines asked for: h.line_view(lines) takes a (K, m)
+array of directions.  A point z is the node u = 1 on the line through z,
+so log h(z) at the points of a (K, m) array is
+h.line_view(points).log_values(np.ones(1))[:, 0].  A rescaling is a change
+of line as well: h(q z) on the line through xi is h on the line through
+q*xi (ShiftedSlice), so no slice class rescales itself.  Only a rational h
 is rescaled symbolically (qops.qscale), under any q: a double entry of q
 counts as its exact value.
 """
@@ -43,7 +45,9 @@ class SliceFunction:
 
     nvars: int
 
-    def line_view(self, xi: np.ndarray) -> LineView:
+    def line_view(self, lines: np.ndarray) -> LineView:
+        """The bundle of the lines through the rows of a (K, nvars)
+        array."""
         raise NotImplementedError
 
     def is_rational(self) -> bool:
@@ -67,11 +71,11 @@ class SliceFunction:
 class RationalSlice(SliceFunction):
     """An exact rational function num/den on C^m.
 
-    The view of each direction is built once and kept per instance (keyed
-    by the direction's bytes), so every functional, predicate and harness
-    term that restricts this slice to the same line shares one view and
-    its cached roots.  A constant restricts to the same view on every
-    line, so all its lines (every q^k*xi of a Casoratian row) share one.
+    The bundle of each direction set is built once and kept per instance
+    (keyed by the directions' bytes), so every functional, predicate and
+    harness term that restricts this slice to the same lines shares one
+    view and its cached roots.  Numerator and denominator are restricted to
+    all the lines in one call each.
     """
 
     def __init__(self, rf):
@@ -90,17 +94,17 @@ class RationalSlice(SliceFunction):
     def is_polynomial(self):
         return self.rf.is_polynomial()
 
-    def line_view(self, xi):
-        xi = np.asarray(xi, dtype=complex)
-        key = b"" if self.constant else xi.tobytes()
+    def line_view(self, lines):
+        lines = np.asarray(lines, dtype=complex)
+        key = lines.tobytes()
         view = self._views.get(key)
         if view is None:
-            num = self.rf.num.restrict_numeric(xi)
-            den = self.rf.den.restrict_numeric(xi)
-            if not np.any(den):
+            num = self.rf.num.restrict_numeric(lines)
+            den = self.rf.den.restrict_numeric(lines)
+            if not np.all(np.any(den, axis=1)):
                 raise UsageError("denominator vanishes on this line")
             view = self._views[key] = (
-                ConstantLineView(num[0]) if self.constant
+                ConstantLineView(num[0, 0], len(lines)) if self.constant
                 else RationalLineView(num, den))
         return view
 
@@ -142,9 +146,13 @@ class ProductEntireSlice(SliceFunction):
         self._lin, self._const = spec.affine_parts()
         self._qbase = complex(spec.qbase)
 
-    def line_view(self, xi):
-        a = complex(np.dot(self._lin, np.asarray(xi, dtype=complex)))
-        return PochhammerLineView(self._qbase, a, self._const)
+    def line_view(self, lines):
+        lines = np.asarray(lines, dtype=complex)
+        # one (1, m) x (m, 1) product per line is bitwise np.dot of the
+        # line alone, where lines @ lin is not
+        a = np.matmul(lines[:, None, :], self._lin[:, None])[:, 0, 0]
+        return PochhammerLineView(self._qbase, a,
+                                  np.full(len(lines), self._const))
 
     def __repr__(self):
         return (f"ProductEntireSlice(qbase={self.spec.qbase}, "
@@ -160,8 +168,8 @@ class ProductSlice(SliceFunction):
         if any(f.nvars != self.nvars for f in factors):
             raise UsageError("variable count mismatch")
 
-    def line_view(self, xi):
-        return ProductLineView([f.line_view(xi) for f in self.factors])
+    def line_view(self, lines):
+        return ProductLineView([f.line_view(lines) for f in self.factors])
 
 
 class QuotientSlice(SliceFunction):
@@ -172,8 +180,9 @@ class QuotientSlice(SliceFunction):
         self.den = den
         self.nvars = num.nvars
 
-    def line_view(self, xi):
-        return QuotientLineView(self.num.line_view(xi), self.den.line_view(xi))
+    def line_view(self, lines):
+        return QuotientLineView(self.num.line_view(lines),
+                                self.den.line_view(lines))
 
 
 class CompositionSlice(SliceFunction):
@@ -190,9 +199,9 @@ class CompositionSlice(SliceFunction):
         self.components = list(components)
         self.nvars = components[0].nvars
 
-    def line_view(self, xi):
+    def line_view(self, lines):
         return FormCompositionLineView(
-            self.coeffs, [c.line_view(xi) for c in self.components])
+            self.coeffs, [c.line_view(lines) for c in self.components])
 
 
 class ShiftedSlice(SliceFunction):
@@ -204,8 +213,13 @@ class ShiftedSlice(SliceFunction):
         self.factors = factors
         self.nvars = h.nvars
 
-    def line_view(self, xi):
-        return self.h.line_view(self.factors * np.asarray(xi, dtype=complex))
+    def line_view(self, lines):
+        lines = np.asarray(lines, dtype=complex)
+        # operands of one shape: a broadcast one can select another numpy
+        # inner loop, whose complex products round differently from those
+        # of a single line
+        return self.h.line_view(np.tile(self.factors, (len(lines), 1))
+                                * lines)
 
 
 def constant_slice(c, nvars: int) -> RationalSlice:

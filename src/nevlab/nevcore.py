@@ -1,11 +1,14 @@
 """Nevanlinna functionals m, N, T on C^m by line-slice averaging.
 
-Every functional is computed per sampled direction xi from the exact
-one-variable theory of h(u*xi) and then averaged with unit-total-mass
-weights; for m = 1 the average degenerates to the single slice u -> h(u).
-One direction picker, `directions_for`, draws the directions for every
-functional and harness, and one weighted line sum, `_line_sum`, averages
-the per-line values over them.
+Every functional is computed from the exact one-variable theory of
+h(u*xi) on each sampled direction xi and then averaged with
+unit-total-mass weights; for m = 1 the average degenerates to the single
+slice u -> h(u).  One direction picker, `directions_for`, draws the
+directions for every functional and harness.  Each slice is restricted to
+all of them in one call, a line bundle (`SliceFunction.line_view`), and one
+weighted line sum, `_line_sum`, evaluates the bundle in passes of
+consecutive lines that hold a bounded number of line x node entries and
+averages the per-line values in direction order.
 All normalizations are taken at base radius 1 (counting integrals start at
 1, characteristics subtract their value on the unit sphere), so zeros and
 poles inside the unit disk contribute mult * log r.
@@ -37,6 +40,11 @@ class QuadratureSpec:
             raise UsageError("n_theta must be a power of two, at least 4")
         if self.n_lines < 1:
             raise UsageError("n_lines must be positive")
+        # numpy's generator rejects a negative seed with a traceback
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
+        if self.resample_limit < 0:
+            raise UsageError("resample_limit must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -107,25 +115,27 @@ class DirectionSet:
         g = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
         return g / np.linalg.norm(g, axis=1, keepdims=True)
 
-    def resample_against(self, is_bad: Callable[[np.ndarray], bool],
+    def resample_against(self, is_bad: Callable[[np.ndarray], np.ndarray],
                          quad: QuadratureSpec) -> "DirectionSet":
         """Replace directions on which the predicate fails (measure-zero
-        degeneracy sets justify resampling)."""
+        degeneracy sets justify resampling).  is_bad maps a (K, m) array of
+        directions to K booleans; it is asked once for all directions, then
+        once per replacement, drawn line by line in direction order."""
         if self.directions.shape[1] == 1:
-            if is_bad(self.directions[0]):
+            if is_bad(self.directions)[0]:
                 raise NumericError("the single m=1 slice is degenerate")
             return self
         rng = np.random.default_rng(quad.seed + 1)
         dirs = self.directions.copy()
-        for i in range(dirs.shape[0]):
-            tries = 0
-            while is_bad(dirs[i]):
-                tries += 1
-                if tries > quad.resample_limit:
-                    raise NumericError(
-                        "could not find a nondegenerate direction "
-                        f"after {quad.resample_limit} resamples")
+        for i in np.flatnonzero(is_bad(dirs)):
+            for _ in range(quad.resample_limit):
                 dirs[i] = self._draw(rng, 1, dirs.shape[1])[0]
+                if not is_bad(dirs[i:i + 1])[0]:
+                    break
+            else:
+                raise NumericError(
+                    "could not find a nondegenerate direction "
+                    f"after {quad.resample_limit} resamples")
         return DirectionSet(dirs, self.weights)
 
 
@@ -185,24 +195,31 @@ def _count_from_roots(roots, r: float) -> float:
 
 def _line_counts(view: LineView, radii: Sequence[float],
                  n_theta: int) -> np.ndarray:
-    """Rows N_zero, N_pole, err on one line, one column per radius.  A
-    closed divisor is asked for once, at the largest radius; Jensen
-    counting evaluates the unit circle once for all radii.  This is the
-    one place that rejects a view vanishing identically on its line."""
-    if view.identically_zero:
+    """Rows N_zero, N_pole, err of each line of the bundle view, one column
+    per radius: shape (K, 3, R).  A closed divisor is asked for once, at
+    the largest radius; Jensen counting evaluates one line and one circle
+    per call, the unit circle once per line.  This is the one place that
+    rejects a view vanishing identically on one of its lines."""
+    if np.any(view.identically_zero):
         raise UsageError("function vanishes identically on a sampled line")
     if view.has_closed_zeros:
-        zeros, poles = view.divisor(max(radii))
-        return np.array([(_count_from_roots(zeros, r),
-                          _count_from_roots(poles, r), 0.0)
-                         for r in radii]).T
-    if view.is_entire:
-        # one circle per call: on all radii at once a determinant view holds
-        # a (nodes, M, M) log matrix, which at M = 28 raised peak memory of
-        # a hypersurface op by 11-14%
-        i1, e1 = circle_mean_log(view.log_abs, 1.0, n_theta)
-        means = [circle_mean_log(view.log_abs, r, n_theta) for r in radii]
-        return np.array([(ir - i1, 0.0, er + e1) for ir, er in means]).T
+        return np.array([[(_count_from_roots(zeros, r),
+                           _count_from_roots(poles, r), 0.0) for r in radii]
+                         for zeros, poles in view.divisor(max(radii))]
+                        ).transpose(0, 2, 1)
+    if np.all(view.is_entire):
+        # one line and one circle per call: a determinant view holds a
+        # (nodes, M, M) log matrix per line, and on all radii at once it
+        # raised peak memory of a hypersurface op at M = 28 by 11-14%
+        rows = []
+        for k in range(len(view)):
+            line = view[k:k + 1]
+            i1, e1 = circle_mean_log(line.log_abs, 1.0, n_theta)
+            means = [circle_mean_log(line.log_abs, r, n_theta)
+                     for r in radii]
+            rows.append([(ir[0] - i1[0], 0.0, er[0] + e1[0])
+                         for ir, er in means])
+        return np.array(rows).transpose(0, 2, 1)
     raise NumericError(
         "line view has neither closed zeros nor entire Jensen counting")
 
@@ -219,19 +236,39 @@ def directions_for(quad: QuadratureSpec, *slices: SliceFunction,
     every component of f does."""
     nvars = f.nvars if f is not None else slices[0].nvars
 
-    def bad(xi):
-        return (f is not None and all(c.line_view(xi).identically_zero
-                                      for c in f.components)
-                or any(h.line_view(xi).identically_zero for h in slices))
+    def bad(lines):
+        out = np.zeros(len(lines), dtype=bool)
+        if f is not None:
+            out |= np.all([c.line_view(lines).identically_zero
+                           for c in f.components], axis=0)
+        for h in slices:
+            out |= h.line_view(lines).identically_zero
+        return out
 
     return DirectionSet.sample(nvars, quad).resample_against(bad, quad)
 
 
-def _line_sum(dirs: DirectionSet, per_line: ArrayFn):
-    """sum_k w_k * per_line(xi_k) in direction order, starting from 0.0."""
+# line x node entries one pass of a functional holds at most.  At the
+# default 5 or 6 radii x 512 nodes this is one line per pass, and the peak
+# memory of a seed-7 rational_maps cycle stays that of the per-line loop
+# (40.5 MB against 40.4); 2**13 read 41.6 MB and 2**15 47.5 MB, for 12%
+# less time than 2**12.  A small quadrature takes several lines per pass.
+_LINE_PASS = 2 ** 12
+
+
+def _line_sum(dirs: DirectionSet, rows: Callable[[slice], np.ndarray],
+              nodes: int = 0):
+    """sum_k w_k * row_k in direction order, starting from 0.0.  rows(lines)
+    returns the rows of the directions dirs.directions[lines], stacked on a
+    leading axis; it is called on passes of consecutive lines that hold at
+    most _LINE_PASS line x node entries at `nodes` nodes per line (at least
+    one line), and each line's row does not depend on its pass."""
+    step = max(1, _LINE_PASS // max(nodes, 1))
     total = 0.0
-    for xi, w in zip(dirs.directions, dirs.weights):
-        total = total + w * per_line(xi)
+    for lo in range(0, len(dirs.weights), step):
+        lines = slice(lo, lo + step)
+        for w, row in zip(dirs.weights[lines], rows(lines)):
+            total = total + w * row
     return total
 
 
@@ -247,47 +284,62 @@ def _samples(radii: Sequence[float], **rows) -> List[NevSample]:
 
 def counting(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
              dirs: Optional[DirectionSet] = None) -> List[NevSample]:
-    nz, npole, err = _line_sum(
-        dirs or directions_for(quad, h),
-        lambda xi: _line_counts(h.line_view(xi), grid.radii, quad.n_theta))
+    dirs = dirs or directions_for(quad, h)
+    counts = _line_counts(h.line_view(dirs.directions), grid.radii,
+                          quad.n_theta)
+    nz, npole, err = _line_sum(dirs, lambda lines: counts[lines])
     return _samples(grid.radii, n_zero=nz, n_pole=npole, err=err)
 
 
 def proximity(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
               dirs: Optional[DirectionSet] = None) -> List[NevSample]:
-    def per_line(xi):
-        return np.stack(circle_mean_log(
-            h.line_view(xi).log_abs, grid.radii, quad.n_theta,
-            reduce=lambda a: np.maximum(a, 0.0)))
+    dirs = dirs or directions_for(quad, h)
+    view = h.line_view(dirs.directions)
 
-    mv, err = _line_sum(dirs or directions_for(quad, h), per_line)
+    def rows(lines):
+        return np.stack(circle_mean_log(
+            view[lines].log_abs, grid.radii, quad.n_theta,
+            reduce=lambda a: np.maximum(a, 0.0)), axis=1)
+
+    mv, err = _line_sum(dirs, rows, len(grid.radii) * quad.n_theta)
     return _samples(grid.radii, m_val=mv, err=err)
 
 
-def _log_max_norm(f: ProjectiveMap, xi: np.ndarray, radii: Sequence[float],
+def _log_max_norm(views: Sequence[LineView], radii: Sequence[float],
                   n_theta: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Circle means of log max_j |f_j(u xi)| and their errors, at radius 1
-    and then at each radius."""
-    vs = [c.line_view(xi) for c in f.components]
-    if all(v.identically_zero for v in vs):
+    """Circle means of log max_j |f_j(u xi)| and their errors on each line
+    of the component bundles `views`, at radius 1 and then at each radius:
+    shape (K, 1 + R).  A component that vanishes on a line drops out of
+    that line's max."""
+    zero = np.array([v.identically_zero for v in views])
+    if np.any(np.all(zero, axis=0)):
         raise NumericError("all components vanish on a sampled line")
-    if not all(v.is_entire or v.identically_zero for v in vs):
+    if not all(np.all(v.is_entire | z) for v, z in zip(views, zero)):
         raise UsageError(
             "characteristic needs holomorphic components; reduce the map")
-    vs = [v for v in vs if not v.identically_zero]
-    return circle_mean_log(
-        lambda u: np.max(np.stack([v.log_abs(u) for v in vs]), axis=0),
-        (1.0,) + tuple(radii), n_theta)
+    live = [j for j, z in enumerate(zero) if not z.all()]
+
+    def max_log(u):
+        logs = np.stack([views[j].log_abs(u) for j in live])
+        logs[zero[live]] = -np.inf
+        return np.max(logs, axis=0)
+
+    return circle_mean_log(max_log, (1.0,) + tuple(radii), n_theta)
 
 
 def characteristic(f: ProjectiveMap, grid: RadialGrid, quad: QuadratureSpec,
                    dirs: Optional[DirectionSet] = None) -> List[NevSample]:
     """Cartan characteristic T_f(r), normalized to 0 at r = 1."""
-    def per_line(xi):
-        full, err = _log_max_norm(f, xi, grid.radii, quad.n_theta)
-        return np.stack([full[1:] - full[0], err[1:] + err[0]])
+    dirs = dirs or directions_for(quad, f=f)
+    views = [c.line_view(dirs.directions) for c in f.components]
 
-    t, err = _line_sum(dirs or directions_for(quad, f=f), per_line)
+    def rows(lines):
+        full, err = _log_max_norm([v[lines] for v in views], grid.radii,
+                                  quad.n_theta)
+        return np.stack([full[:, 1:] - full[:, :1],
+                         err[:, 1:] + err[:, :1]], axis=1)
+
+    t, err = _line_sum(dirs, rows, (len(grid.radii) + 1) * quad.n_theta)
     return _samples(grid.radii, t_val=t, err=err)
 
 
@@ -314,17 +366,20 @@ def jensen_residual(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
     The same sampled directions feed both sides, so for rational h the
     residual is pure quadrature error.
     """
-    def per_line(xi):
-        v = h.line_view(xi)
-        if not v.has_closed_zeros:
-            raise UsageError("Jensen residual needs certified zero multisets")
-        full, err = circle_mean_log(v.log_abs, (1.0,) + tuple(grid.radii),
-                                    quad.n_theta)
-        nz, npole, _ = _line_counts(v, grid.radii, quad.n_theta)
-        return np.stack([(nz - npole) - (full[1:] - full[0]),
-                         err[1:] + err[0]])
+    dirs = dirs or directions_for(quad, h)
+    view = h.line_view(dirs.directions)
+    if not view.has_closed_zeros:
+        raise UsageError("Jensen residual needs certified zero multisets")
+    counts = _line_counts(view, grid.radii, quad.n_theta)
 
-    mv, err = _line_sum(dirs or directions_for(quad, h), per_line)
+    def rows(lines):
+        full, err = circle_mean_log(view[lines].log_abs,
+                                    (1.0,) + tuple(grid.radii), quad.n_theta)
+        nz, npole = counts[lines, 0], counts[lines, 1]
+        return np.stack([(nz - npole) - (full[:, 1:] - full[:, :1]),
+                         err[:, 1:] + err[:, :1]], axis=1)
+
+    mv, err = _line_sum(dirs, rows, (len(grid.radii) + 1) * quad.n_theta)
     return _samples(grid.radii, m_val=mv, err=err)
 
 
@@ -335,18 +390,23 @@ def fmt_residual(f: ProjectiveMap, D, grid: RadialGrid,
     if isinstance(df, RationalSlice) and df.rf.is_zero():
         raise UsageError("map lies in the hypersurface")
     d = D.degree
+    dirs = directions_for(quad, df, f=f)
+    views = [c.line_view(dirs.directions) for c in f.components]
+    dview = df.line_view(dirs.directions)
+    counts = _line_counts(dview, grid.radii, quad.n_theta)
 
-    def per_line(xi):
-        lmax, el = _log_max_norm(f, xi, grid.radii, quad.n_theta)
-        dv = df.line_view(xi)
-        idf, ed = circle_mean_log(dv.log_abs, grid.radii, quad.n_theta)
-        nz, _, en = _line_counts(dv, grid.radii, quad.n_theta)
+    def rows(lines):
+        lmax, el = _log_max_norm([v[lines] for v in views], grid.radii,
+                                 quad.n_theta)
+        idf, ed = circle_mean_log(dview[lines].log_abs, grid.radii,
+                                  quad.n_theta)
+        nz, en = counts[lines, 0], counts[lines, 2]
         # m_f(r,Q) = mean log(||f||^d / |D(f)|); T normalized at 1
-        mval, tval = d * lmax[1:] - idf, lmax[1:] - lmax[0]
+        mval, tval = d * lmax[:, 1:] - idf, lmax[:, 1:] - lmax[:, :1]
         return np.stack([mval + nz - d * tval,
-                         el[1:] + ed + en + d * el[0]])
+                         el[:, 1:] + ed + en + d * el[:, :1]], axis=1)
 
-    mv, err = _line_sum(directions_for(quad, df, f=f), per_line)
+    mv, err = _line_sum(dirs, rows, (len(grid.radii) + 1) * quad.n_theta)
     return _samples(grid.radii, m_val=mv, err=err)
 
 

@@ -190,21 +190,37 @@ class Polynomial:
         return _raw(self.nvars, out)
 
     # ---- line restriction ----------------------------------------------
-    def restrict_numeric(self, xi: np.ndarray) -> np.ndarray:
-        """Coefficients (ascending degree) of p(u*xi), double precision."""
-        xi = np.asarray(xi, dtype=complex)
-        if xi.shape != (self.nvars,):
+    def restrict_numeric(self, lines: np.ndarray) -> np.ndarray:
+        """Coefficients (ascending degree) of p(u*xi) in double precision,
+        one row per direction xi of the (K, nvars) array `lines`.
+
+        Each row is bitwise the scalar complex arithmetic of its line alone
+        (c * x1**e1 * ... summed per degree in term order): products are
+        taken by parts, re = ar*br - ai*bi and im = ar*bi + ai*br, and the
+        powers by numpy's scalar rule (_power_by_parts).  numpy's array
+        complex multiply rounds differently."""
+        lines = np.asarray(lines, dtype=complex)
+        if lines.ndim != 2 or lines.shape[1] != self.nvars:
             raise UsageError("direction length must equal nvars")
-        if not np.any(xi):
+        if not np.all(np.any(lines, axis=1)):
             raise UsageError("zero direction")
         deg = max((sum(e) for e in self.terms), default=0)
-        out = np.zeros(deg + 1, dtype=complex)
+        re = np.zeros((len(lines), deg + 1))
+        im = np.zeros((len(lines), deg + 1))
+        powers = {}
         for e, c in self.terms.items():
             k = c.to_complex()
-            for x, ei in zip(xi, e):
+            kr, ki = k.real, k.imag
+            for v, ei in enumerate(e):
                 if ei:
-                    k *= x**ei
-            out[sum(e)] += k
+                    if (v, ei) not in powers:
+                        powers[v, ei] = _power_by_parts(lines[:, v], ei)
+                    pr, pi = powers[v, ei]
+                    kr, ki = kr * pr - ki * pi, kr * pi + ki * pr
+            re[:, sum(e)] += kr
+            im[:, sum(e)] += ki
+        out = np.empty(re.shape, dtype=complex)
+        out.real, out.imag = re, im
         return out
 
     def __repr__(self):
@@ -216,6 +232,38 @@ class Polynomial:
             s = _fmt_coeff(c)
             bits.append(f"{s}*{mono}" if mono else s)
         return "Polynomial(" + " + ".join(bits) + ")"
+
+
+def _power_by_parts(x: np.ndarray, n: int):
+    """(re, im) of x**n for a complex array x and an integer n >= 1,
+    bitwise numpy's scalar complex power: n = 1, 2, 3 unrolled, then binary
+    powering from 1 below n = 100 (libm's cpow from there, taken per
+    entry); a zero base gives +0."""
+    if n >= 100:
+        p = np.array([v ** n for v in x], dtype=complex)
+        return p.real, p.imag
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    base = (x.real, x.imag)
+    if n == 1:
+        p = base
+    elif n == 2:
+        p = mul(base, base)
+    elif n == 3:
+        p = mul(base, mul(base, base))
+    else:
+        p, sq = (1.0, 0.0), base
+        while True:
+            if n & 1:
+                p = mul(p, sq)
+            n >>= 1
+            if not n:
+                break
+            sq = mul(sq, sq)
+    zero = (x.real == 0) & (x.imag == 0)
+    return np.where(zero, 0.0, p[0]), np.where(zero, 0.0, p[1])
 
 
 def _raw(nvars: int, terms: dict) -> Polynomial:

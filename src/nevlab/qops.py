@@ -20,8 +20,9 @@ from .nevcore import (QuadratureSpec, RadialGrid, characteristic_function,
                       counting, directions_for, order_estimate, proximity)
 from .polynomials import Polynomial, RationalFunction, try_divide
 from .rationals import GaussianRational
-from .slicing import (DeterminantLineView, MonomialDeterminantLineView,
-                      _dual_slogdet, _entry_logs, _monomial_log_matrix)
+from .slicing import (DeterminantLineView, LineView,
+                      MonomialDeterminantLineView, _dual_slogdet,
+                      _entry_logs, _monomial_log_matrix)
 
 
 MONOMIAL_CAP = 64
@@ -130,8 +131,8 @@ def _det_rational(mat: List[List[RationalFunction]]) -> RationalFunction:
 
 class CasoratiSlice(SliceFunction):
     """det[ f_j(q^k z) ]_{k,j} of non-rational components or under an
-    inexact q, log-domain only: row k of its view restricts the components
-    to the line through q^k*xi.
+    inexact q, log-domain only: row k of its view on the line through xi
+    restricts the components to the line through q^k*xi.
 
     Only |det| is available along a line (dual-scaled slogdet), which is
     what the counting and proximity integrals consume.
@@ -146,15 +147,22 @@ class CasoratiSlice(SliceFunction):
         self.monos = [tuple(int(i == j) for i in range(n1))
                       for j in range(n1)]
 
-    def _rows(self, points) -> List[List]:
-        """The component views on the lines through q^k*z, k < M, for each
-        point z of points: M rows per point, point by point."""
-        powers = [self.q.numeric_powers(k) for k in range(len(self.monos))]
-        return [[c.line_view(p * z) for c in self.components]
-                for z in np.asarray(points, dtype=complex) for p in powers]
+    def _columns(self, points) -> List[LineView]:
+        """Each component's bundle on the lines through q^k*z, k < M, for
+        each point z of the (K, m) array points: M lines per point, point
+        by point."""
+        M = len(self.monos)
+        powers = np.array([self.q.numeric_powers(k) for k in range(M)])
+        points = np.asarray(points, dtype=complex)
+        # operands of one shape: a broadcast one can select another numpy
+        # inner loop, whose complex products round differently from q^k * z
+        # of a single point
+        shifted = np.tile(powers, (len(points), 1)) * np.repeat(points, M,
+                                                                axis=0)
+        return [c.line_view(shifted) for c in self.components]
 
-    def line_view(self, xi):
-        return DeterminantLineView(self._rows([xi]))
+    def line_view(self, lines):
+        return DeterminantLineView(self._columns(lines))
 
 
 def casorati(components: Sequence[SliceFunction], q: QShift) -> SliceFunction:
@@ -180,8 +188,8 @@ class MonomialCasoratiSlice(CasoratiSlice):
         super().__init__(f.components, q)
         self.monos = [tuple(e) for e in monos]
 
-    def line_view(self, xi):
-        return MonomialDeterminantLineView(self._rows([xi]), self.monos)
+    def line_view(self, lines):
+        return MonomialDeterminantLineView(self._columns(lines), self.monos)
 
 
 def casorati_monomials(f: ProjectiveMap, alpha: int,
@@ -229,11 +237,11 @@ def scaled_samples(det: CasoratiSlice, pts: np.ndarray) -> np.ndarray:
     magnitude for deciding whether a sampled Casoratian vanishes there.
     Each point is the node u = 1 on the line through it, and row k of its
     matrix the node u = 1 on the line through q^k*z.  These M lines per
-    point are the rows of one tall log matrix, so each component is
-    evaluated over all of them at once; the matrices are scaled in one
-    stacked call."""
+    point are the rows of one tall log matrix, so each component is one
+    bundle over all of them; the matrices are scaled in one stacked
+    call."""
     M = len(det.monos)
-    logm = _monomial_log_matrix(_entry_logs(det._rows(pts), np.ones(1)),
+    logm = _monomial_log_matrix(_entry_logs(det._columns(pts), np.ones(1)),
                                 det.monos)
     return np.exp(_dual_slogdet(logm.reshape(len(pts), M, M))[1])
 

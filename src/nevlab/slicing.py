@@ -1,37 +1,42 @@
-"""One-variable views of functions restricted to a complex line.
+"""One-variable views of functions restricted to complex lines.
 
-A LineView represents u -> h(u*xi) for a fixed direction xi.  Views are
+A LineView is a line bundle: it represents u -> h(u*xi) on each of K
+directions xi at once, and every value it returns carries a leading line
+axis.  A slice function builds the bundle of all the lines it is asked for
+in one call (one restriction per polynomial, one matrix product for the
+linear part of a q-Pochhammer argument), and each line of a bundle is
+bitwise the same view of that line alone.  view[lo:hi] is the bundle of a
+slice of the lines, which is how the functionals split a pass.  Views are
 evaluated in the log domain, so that high-degree compositions never
 overflow:
 
-- log_abs(u) is the real log|h| at the nodes u.  It is the path every
-  functional reads (T_f, N, m and the Weil sums all need only |h|), and
-  each view computes it without a complex log.
+- log_abs(u) is the real log|h| at the nodes u, shape (K,) + u.shape.  It
+  is the path every functional reads (T_f, N, m and the Weil sums all need
+  only |h|), and each view computes it without a complex log.
 - log_values(u) is the complex log of h: its real part is log|h| and its
   imaginary part an argument of h defined only mod 2*pi.  Only form
   components and determinant entries need it, because there the phases of
   several terms are summed.
 
 A view whose variant knows its divisor in closed form (has_closed_zeros)
-answers divisor(r): its zeros and poles in |u| <= r with multiplicities,
-after cancellation, as one pair of lists.  Products and quotients cancel
-their parts' divisors once per call, and the counting functional asks each
-line once, for its largest radius.  Entire views without closed zeros
-(form compositions and determinants) are still countable downstream
-through the Jensen integral.
+answers divisor(r): per line, its zeros and poles in |u| <= r with
+multiplicities, after cancellation, as one pair of lists.  Products and
+quotients cancel their parts' divisors once per call, and the counting
+functional asks each bundle once, for its largest radius.  Entire views
+without closed zeros (form compositions and determinants) are still
+countable downstream through the Jensen integral.
 
 A determinant's entries come from one function on many lines: a Casoratian
-row k reads the components on the line through q^k*xi.  Each column is
-evaluated as one family of lines (_family_log_values): the K Pochhammer
-views of a component are one PochhammerLineView holding arrays (a_k, b_k),
-evaluated in one _pochhammer_log call whose rows are bitwise the lines
-alone, and a constant's one shared view is evaluated once.  Both
-determinant views and the sampled nondegeneracy test read their log
-matrices through this path; divisors and counting stay per line.
+row k reads the components on the line through q^k*xi.  Each column is the
+bundle of one component on all the shifted lines of every line, so the K
+Pochhammer lines of a column take one _pochhammer_log call whose rows are
+bitwise the lines alone.  Both determinant views and the sampled
+nondegeneracy test read their log matrices through this path.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import importlib.machinery
 import importlib.util
@@ -52,24 +57,32 @@ POCHHAMMER_TAIL = 1e-15
 
 
 class LineView:
-    identically_zero = False
-    is_entire = True
+    """The restrictions u -> h(u*xi) of one function to K lines xi, a line
+    bundle.  Per line, identically_zero and is_entire are (K,) boolean
+    arrays; len(view) is K, and view[lo:hi] is the bundle of those lines.
+    """
+
     has_closed_zeros = True
 
+    def __len__(self) -> int:
+        return len(self.identically_zero)
+
     def log_values(self, u: np.ndarray) -> np.ndarray:
-        """Complex log of h at the nodes u: the real part is log|h|, the
-        imaginary part is defined only mod 2*pi.  For form components and
-        determinant entries; magnitudes are read through log_abs."""
+        """Complex log of h at the nodes u on each line, shape
+        (K,) + u.shape: the real part is log|h|, the imaginary part is
+        defined only mod 2*pi.  For form components and determinant
+        entries; magnitudes are read through log_abs."""
         raise NotImplementedError
 
     def log_abs(self, u: np.ndarray) -> np.ndarray:
-        """log|h| at the nodes u, the path every functional reads.  This
-        fallback serves views whose magnitude needs the phases of their
-        parts (forms) or that compute only a magnitude (determinants)."""
+        """log|h| at the nodes u on each line, shape (K,) + u.shape: the
+        path every functional reads.  This fallback serves views whose
+        magnitude needs the phases of their parts (forms) or that compute
+        only a magnitude (determinants)."""
         return self.log_values(u).real
 
-    def divisor(self, r: float) -> Tuple[RootList, RootList]:
-        """(zeros, poles) in |u| <= r with multiplicities, after
+    def divisor(self, r: float) -> List[Tuple[RootList, RootList]]:
+        """Per line, (zeros, poles) in |u| <= r with multiplicities, after
         cancellation; points outside r may be listed too.  The lists may be
         the view's own cache: callers do not change them."""
         raise UsageError("line view has no closed-form divisor")
@@ -96,59 +109,75 @@ def _cancel(zeros: RootList, poles: RootList) -> Tuple[RootList, RootList]:
 
 
 class ConstantLineView(LineView):
-    def __init__(self, value: complex):
+    def __init__(self, value: complex, lines: int):
         self.value = complex(value)
-        self.identically_zero = (self.value == 0)
+        self.identically_zero = np.full(lines, self.value == 0)
+        self.is_entire = np.ones(lines, dtype=bool)
+
+    def __getitem__(self, lines: slice) -> "ConstantLineView":
+        return ConstantLineView(self.value, len(self.is_entire[lines]))
 
     def log_values(self, u):
-        u = np.asarray(u)
+        shape = (len(self),) + np.shape(u)
         with np.errstate(divide="ignore"):
-            return np.full(u.shape, np.log(complex(self.value))
+            return np.full(shape, np.log(complex(self.value))
                            if self.value else complex("-inf"))
 
     def log_abs(self, u):
         with np.errstate(divide="ignore"):
-            return np.full(np.shape(u), np.log(np.abs(self.value)))
+            return np.full((len(self),) + np.shape(u),
+                           np.log(np.abs(self.value)))
 
     def divisor(self, r):
-        return [], []
+        return [([], [])] * len(self)
 
 
 class RationalLineView(LineView):
-    """num(u)/den(u) with double-precision coefficients (ascending)."""
+    """num(u)/den(u) on each line, from (K, degree + 1) arrays of
+    double-precision coefficients (ascending), one row per line."""
 
     def __init__(self, num: np.ndarray, den: np.ndarray):
         self.num = np.asarray(num, dtype=complex)
         self.den = np.asarray(den, dtype=complex)
-        if not np.any(self.den):
+        if not np.all(np.any(self.den, axis=1)):
             raise UsageError("denominator vanishes identically on the line")
-        self.identically_zero = not np.any(self.num)
-        # entire when the denominator has degree 0 under the cut of _strip
-        kept, low = _strip(self.den)
-        self.is_entire = low + len(kept) == 1
+        self.identically_zero = ~np.any(self.num, axis=1)
+        # entire where the denominator has degree 0 under the cut of _strip
+        self.is_entire = _strip(self.den)[1] == 0
         self._cache = None
+
+    def __getitem__(self, lines: slice) -> "RationalLineView":
+        # the lines keep their flags and roots: no second check or cut
+        part = copy.copy(self)
+        for name in ("num", "den", "identically_zero", "is_entire"):
+            setattr(part, name, getattr(self, name)[lines])
+        part._cache = None if self._cache is None else self._cache[lines]
+        return part
 
     def log_values(self, u):
         u = np.asarray(u, dtype=complex)
-        nv = np.polynomial.polynomial.polyval(u, self.num)
-        dv = np.polynomial.polynomial.polyval(u, self.den)
+        nv = np.polynomial.polynomial.polyval(u, self.num.T)
+        dv = np.polynomial.polynomial.polyval(u, self.den.T)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(nv.astype(complex)) - np.log(dv.astype(complex))
 
     def log_abs(self, u):
         u = np.asarray(u, dtype=complex)
-        nv = np.polynomial.polynomial.polyval(u, self.num)
-        # a constant denominator (every polynomial) costs one scalar log
-        dv = self.den[0] if len(self.den) == 1 \
-            else np.polynomial.polynomial.polyval(u, self.den)
+        nv = np.polynomial.polynomial.polyval(u, self.num.T)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.abs(nv)) - np.log(np.abs(dv))
+            if self.den.shape[1] > 1:
+                dv = np.polynomial.polynomial.polyval(u, self.den.T)
+                return np.log(np.abs(nv)) - np.log(np.abs(dv))
+            # a constant denominator (every polynomial) costs one log a line
+            logden = np.log(np.abs(self.den[:, 0]))
+            return np.log(np.abs(nv)) - logden.reshape((-1,) + (1,) * u.ndim)
 
     def divisor(self, r):
         """Every root of num and den, found once: r is not read."""
         if self._cache is None:
-            self._cache = _cancel(univariate_roots(self.num).roots,
-                                  univariate_roots(self.den).roots)
+            self._cache = [
+                _cancel(z.roots, p.roots) for z, p in
+                zip(univariate_roots(self.num), univariate_roots(self.den))]
         return self._cache
 
 
@@ -254,34 +283,36 @@ def _pochhammer_log(qbase, ell, phase: bool = True) -> np.ndarray:
 
 
 class PochhammerLineView(LineView):
-    """u -> prod_{k>=0} (1 - (a*u + b) * qbase^k), truncated adaptively.
+    """u -> prod_{k>=0} (1 - (a_k*u + b_k) * qbase^k) on each line k, from
+    arrays (a_k, b_k), truncated adaptively.
 
-    Both paths take one log per chunk of factors (_pochhammer_log): log_abs
+    All lines take one _pochhammer_log call, whose rows are bitwise the
+    lines alone.  Both paths take one log per chunk of factors: log_abs
     reads the chunk magnitudes alone, and the imaginary part of log_values
-    is defined only mod 2*pi.  Arrays (a_k, b_k) make the view of a family
-    of K lines, read only through log_values and log_abs: its values carry
-    a leading line axis, and all K lines take one _pochhammer_log call.
+    is defined only mod 2*pi.
     """
 
     def __init__(self, qbase: complex, a, b):
         if not 0 < abs(qbase) < 1:
             raise UsageError("product base must satisfy 0 < |q| < 1")
         self.qbase = complex(qbase)
-        if isinstance(a, np.ndarray):
-            self.a, self.b = a, b
-            return
-        self.a = complex(a)
-        self.b = complex(b)
-        if self.a == 0:
-            self.identically_zero = bool(np.isneginf(
-                _pochhammer_log(self.qbase, [self.b], phase=False)[0]))
+        self.a = np.asarray(a, dtype=complex)
+        self.b = np.asarray(b, dtype=complex)
+        self.is_entire = np.ones(len(self.a), dtype=bool)
+        self.identically_zero = np.zeros(len(self.a), dtype=bool)
+        flat = self.a == 0
+        if flat.any():
+            self.identically_zero[flat] = np.isneginf(_pochhammer_log(
+                self.qbase, self.b[flat], phase=False))
+
+    def __getitem__(self, lines: slice) -> "PochhammerLineView":
+        return PochhammerLineView(self.qbase, self.a[lines], self.b[lines])
 
     def _log(self, u, phase: bool) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
         lead = (-1,) + (1,) * u.ndim
-        out = _pochhammer_log(self.qbase, np.reshape(self.a, lead) * u
-                              + np.reshape(self.b, lead), phase)
-        return out if isinstance(self.a, np.ndarray) else out[0]
+        return _pochhammer_log(self.qbase, self.a.reshape(lead) * u
+                               + self.b.reshape(lead), phase)
 
     def log_values(self, u):
         return self._log(u, phase=True)
@@ -291,31 +322,42 @@ class PochhammerLineView(LineView):
 
     def divisor(self, r):
         """Zeros: the solutions of a*u + b = qbase^{-k}, k >= 0, inside
-        |u| <= r.  No poles."""
-        if self.a == 0:
-            return [], []
-        out = []
-        k = 0
-        while True:
-            target = self.qbase ** (-k)
-            u = (target - self.b) / self.a
-            if abs(u) <= r:
-                out.append((u, 1))
-            elif abs(target) > abs(self.a) * r + abs(self.b) + 1:
-                break
-            k += 1
-            if k > 100000:
-                raise NumericError("zero enumeration did not terminate")
-        out.sort(key=lambda t: abs(t[0]))
-        return out, []
+        |u| <= r, on each line.  No poles."""
+        return [(_pochhammer_zeros(self.qbase, complex(a), complex(b), r), [])
+                for a, b in zip(self.a, self.b)]
+
+
+def _pochhammer_zeros(qbase: complex, a: complex, b: complex,
+                      r: float) -> RootList:
+    """The simple zeros of prod_k (1 - (a*u + b) * qbase^k) in |u| <= r."""
+    if a == 0:
+        return []
+    out = []
+    k = 0
+    while True:
+        target = qbase ** (-k)
+        u = (target - b) / a
+        if abs(u) <= r:
+            out.append((u, 1))
+        elif abs(target) > abs(a) * r + abs(b) + 1:
+            break
+        k += 1
+        if k > 100000:
+            raise NumericError("zero enumeration did not terminate")
+    out.sort(key=lambda t: abs(t[0]))
+    return out
 
 
 class ProductLineView(LineView):
     def __init__(self, views: Sequence[LineView]):
         self.views = list(views)
-        self.identically_zero = any(v.identically_zero for v in self.views)
-        self.is_entire = all(v.is_entire for v in self.views)
+        self.identically_zero = np.any(
+            [v.identically_zero for v in self.views], axis=0)
+        self.is_entire = np.all([v.is_entire for v in self.views], axis=0)
         self.has_closed_zeros = all(v.has_closed_zeros for v in self.views)
+
+    def __getitem__(self, lines: slice) -> "ProductLineView":
+        return ProductLineView([v[lines] for v in self.views])
 
     def log_values(self, u):
         return sum(v.log_values(u) for v in self.views)
@@ -324,24 +366,29 @@ class ProductLineView(LineView):
         return sum(v.log_abs(u) for v in self.views)
 
     def divisor(self, r):
-        z: RootList = []
-        p: RootList = []
-        for v in self.views:
-            vz, vp = v.divisor(r)
-            z += vz
-            p += vp
-        return _cancel(z, p)
+        out = []
+        for parts in zip(*(v.divisor(r) for v in self.views)):
+            z: RootList = []
+            p: RootList = []
+            for vz, vp in parts:
+                z += vz
+                p += vp
+            out.append(_cancel(z, p))
+        return out
 
 
 class QuotientLineView(LineView):
     def __init__(self, num: LineView, den: LineView):
-        if den.identically_zero:
+        if np.any(den.identically_zero):
             raise UsageError("denominator vanishes identically on the line")
         self.num = num
         self.den = den
         self.identically_zero = num.identically_zero
-        self.is_entire = False
+        self.is_entire = np.zeros(len(num), dtype=bool)
         self.has_closed_zeros = num.has_closed_zeros and den.has_closed_zeros
+
+    def __getitem__(self, lines: slice) -> "QuotientLineView":
+        return QuotientLineView(self.num[lines], self.den[lines])
 
     def log_values(self, u):
         return self.num.log_values(u) - self.den.log_values(u)
@@ -350,14 +397,14 @@ class QuotientLineView(LineView):
         return self.num.log_abs(u) - self.den.log_abs(u)
 
     def divisor(self, r):
-        (nz, npole), (dz, dpole) = self.num.divisor(r), self.den.divisor(r)
-        return _cancel(nz + dpole, npole + dz)
+        return [_cancel(nz + dpole, npole + dz) for (nz, npole), (dz, dpole)
+                in zip(self.num.divisor(r), self.den.divisor(r))]
 
 
 class FormCompositionLineView(LineView):
     """sum_I a_I * prod_j comp_j(u)^{I_j}, evaluated in the log domain.
 
-    Zero/pole sets are not known in closed form; when every component is
+    Zero/pole sets are not known in closed form; where every component is
     entire the view is entire and downstream counting goes through Jensen.
     """
 
@@ -367,16 +414,23 @@ class FormCompositionLineView(LineView):
             raise UsageError("empty form")
         self.coeffs = [(complex(c), tuple(e)) for c, e in coeffs]
         self.components = list(components)
-        self.is_entire = all(v.is_entire for v in self.components)
+        self.is_entire = np.all([v.is_entire for v in self.components],
+                                axis=0)
         self.has_closed_zeros = False
-        self.identically_zero = False  # caller rules this out symbolically
+        # the caller rules a vanishing form out symbolically
+        self.identically_zero = np.zeros(len(self.is_entire), dtype=bool)
+
+    def __getitem__(self, lines: slice) -> "FormCompositionLineView":
+        return FormCompositionLineView(
+            self.coeffs, [v[lines] for v in self.components])
 
     def log_values(self, u):
         u = np.asarray(u, dtype=complex)
+        shape = (len(self),) + u.shape
         logs = [v.log_values(u) for v in self.components]
         term_logs = []
         for c, exps in self.coeffs:
-            t = np.full(u.shape, np.log(complex(c)) if c else complex("-inf"))
+            t = np.full(shape, np.log(complex(c)) if c else complex("-inf"))
             for lv, e in zip(logs, exps):
                 if e:
                     # by parts: a complex product turns log 0 = -inf into NaN
@@ -386,45 +440,31 @@ class FormCompositionLineView(LineView):
         stack = np.stack(term_logs)
         shift = np.max(stack.real, axis=0)
         shift = np.where(np.isfinite(shift), shift, 0.0)
-        total = np.sum(np.exp(stack - shift), axis=0)
+        terms = np.exp(stack - shift)
+        # term by term: np.sum is pairwise where a single node is reduced
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
         with np.errstate(divide="ignore", invalid="ignore"):
             return shift + np.log(total.astype(complex))
 
 
-def _family_log_values(views: Sequence[LineView], u: np.ndarray) -> np.ndarray:
-    """log_values of the views of one function on K lines at the nodes u,
-    stacked on a leading line axis: (K,) + u.shape.  A view shared by
-    every line (a constant) is evaluated once; Pochhammer views of one base
-    are one family view; any other view is evaluated line by line."""
-    first = views[0]
-    if all(v is first for v in views):
-        return np.broadcast_to(first.log_values(u), (len(views),) + u.shape)
-    if all(type(v) is PochhammerLineView and v.qbase == first.qbase
-           for v in views):
-        return PochhammerLineView(
-            first.qbase, np.array([v.a for v in views]),
-            np.array([v.b for v in views])).log_values(u)
-    return np.stack([v.log_values(u) for v in views])
-
-
-def _entry_logs(rows: Sequence[Sequence[LineView]], u) -> np.ndarray:
-    """comp[k, node, j]: the log of rows[k][j] at the flattened nodes u.
-    Each column, one function on the K lines of the rows, is one family
-    evaluation."""
+def _entry_logs(columns: Sequence[LineView], u) -> np.ndarray:
+    """comp[k, node, j]: the log of the bundle columns[j] on its line k at
+    the flattened nodes u."""
     flat = np.asarray(u, dtype=complex).ravel()
-    return np.stack([_family_log_values(col, flat) for col in zip(*rows)],
-                    axis=-1)
+    return np.stack([c.log_values(flat) for c in columns], axis=-1)
 
 
 def _monomial_log_matrix(comp: np.ndarray, monomials) -> np.ndarray:
-    """The (nodes, K, M) log matrix whose (k, I) entry is the monomial
-    prod_j c_j^{I_j} on line k, from the component logs comp[k, node, j]:
-    every entry is an integer combination of them."""
+    """logm[k, node, I]: the monomial prod_j c_j^{I_j} on line k, from the
+    component logs comp[k, node, j]: every entry is an integer combination
+    of them."""
     emat = np.asarray(monomials, dtype=float)  # (M, n1)
     # by parts: a zero or pole raised to the power 0 is 1, where the
     # product 0 * inf would read NaN
     fin = np.isfinite(comp.real)
-    logm = np.where(fin, comp, 0) @ emat.T  # logm[k, node, I]
+    logm = np.where(fin, comp, 0) @ emat.T
     if not np.all(fin):
         used = (emat.T > 0).astype(float)
         re = logm.real
@@ -433,33 +473,55 @@ def _monomial_log_matrix(comp: np.ndarray, monomials) -> np.ndarray:
         re[zero] = -np.inf
         re[pole] = np.inf
         re[zero & pole] = np.nan  # 0 * inf
-    return logm.transpose(1, 0, 2)
+    return logm
+
+
+def _shifted_entire(columns: Sequence[LineView], shifts: int) -> np.ndarray:
+    """Per line, whether every column bundle is entire on all its shifted
+    lines; each bundle holds `shifts` shifted lines per line, line by
+    line."""
+    return np.all([c.is_entire.reshape(-1, shifts) for c in columns],
+                  axis=(0, 2))
+
+
+def _shifted_part(columns: Sequence[LineView], shifts: int,
+                  lines: slice) -> List[LineView]:
+    """The column bundles of a slice of the lines (see _shifted_entire)."""
+    lo, hi, _ = lines.indices(len(columns[0]) // shifts)
+    return [c[lo * shifts:hi * shifts] for c in columns]
 
 
 class MonomialDeterminantLineView(LineView):
     """Determinant whose (k, I) entry is the monomial prod_j c_j^{I_j}
-    evaluated on the k-th shifted copy of the component views.
+    evaluated on the k-th shifted line, on each line.
 
-    Exploits the monomial structure: each row needs only the component
-    logs once, and every entry is an integer combination of them.
+    columns[j] is the bundle of component j on the M shifted lines of each
+    line, line by line.  Each row needs only the component logs once, and
+    every entry is an integer combination of them.
     """
 
-    def __init__(self, shifted_components, monomials):
-        # shifted_components[k][j]: LineView of component j under shift k
-        self.rows = [list(r) for r in shifted_components]
+    def __init__(self, columns: Sequence[LineView], monomials):
+        self.columns = list(columns)
         self.monos = [tuple(e) for e in monomials]
-        if len(self.rows) != len(self.monos):
+        if len(self.columns[0]) % len(self.monos):
             raise UsageError("need as many shifts as monomials")
-        self.is_entire = all(v.is_entire for r in self.rows for v in r)
+        self.is_entire = _shifted_entire(self.columns, len(self.monos))
         self.has_closed_zeros = False
-        self.identically_zero = False
+        self.identically_zero = np.zeros(len(self.is_entire), dtype=bool)
+
+    def __getitem__(self, lines: slice) -> "MonomialDeterminantLineView":
+        return MonomialDeterminantLineView(
+            _shifted_part(self.columns, len(self.monos), lines), self.monos)
 
     def log_matrix(self, u) -> np.ndarray:
-        """The (nodes, M, M) log matrix at the flattened nodes u."""
-        return _monomial_log_matrix(_entry_logs(self.rows, u), self.monos)
+        """The (K, nodes, M, M) log matrices at the flattened nodes u."""
+        M = len(self.monos)
+        logm = _monomial_log_matrix(_entry_logs(self.columns, u), self.monos)
+        return logm.reshape(len(self), M, -1, M).transpose(0, 2, 1, 3)
 
     def log_values(self, u):
-        return _scaled_slogdet(self.log_matrix(u)).reshape(np.shape(u))
+        return _scaled_slogdet(self.log_matrix(u)).reshape(
+            (len(self),) + np.shape(u))
 
 
 def _lsap_path() -> Optional[str]:
@@ -553,25 +615,31 @@ def _scaled_slogdet(logm: np.ndarray) -> np.ndarray:
 
 
 class DeterminantLineView(LineView):
-    """|det| of a matrix of views, via the dual-scaled slogdet.
+    """|det[ f_j on the k-th shifted line ]|, via the dual-scaled slogdet,
+    on each line: columns[j] is the bundle of component j on the n shifted
+    lines of each line, line by line.
 
     Only the magnitude is defined (slogdet drops the phase); log_values
     returns log|det| with zero imaginary part, which is all the counting
     and proximity integrals need.
     """
 
-    def __init__(self, matrix: Sequence[Sequence[LineView]]):
-        self.matrix = [list(row) for row in matrix]
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise UsageError("determinant view needs a square matrix")
-        self.is_entire = all(v.is_entire for row in self.matrix for v in row)
+    def __init__(self, columns: Sequence[LineView]):
+        self.columns = list(columns)
+        self.is_entire = _shifted_entire(self.columns, len(self.columns))
         self.has_closed_zeros = False
-        self.identically_zero = False  # decided by the caller's sampling
+        self.identically_zero = np.zeros(len(self.is_entire), dtype=bool)
+
+    def __getitem__(self, lines: slice) -> "DeterminantLineView":
+        return DeterminantLineView(
+            _shifted_part(self.columns, len(self.columns), lines))
 
     def log_matrix(self, u) -> np.ndarray:
-        """The (nodes, n, n) log matrix at the flattened nodes u."""
-        return _entry_logs(self.matrix, u).transpose(1, 0, 2)
+        """The (K, nodes, n, n) log matrices at the flattened nodes u."""
+        n = len(self.columns)
+        return _entry_logs(self.columns, u).reshape(
+            len(self), n, -1, n).transpose(0, 2, 1, 3)
 
     def log_values(self, u):
-        return _scaled_slogdet(self.log_matrix(u)).reshape(np.shape(u))
+        return _scaled_slogdet(self.log_matrix(u)).reshape(
+            (len(self),) + np.shape(u))

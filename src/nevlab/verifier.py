@@ -177,7 +177,8 @@ def verify_cartan_smt(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
 # ---------------------------------------------------------------------------
 
 def _log_norm2(views, u: np.ndarray) -> np.ndarray:
-    """log ||f(u xi)||_2 from component views, overflow-safe."""
+    """log ||f(u xi)||_2 on each line of the component bundles,
+    overflow-safe."""
     logs = np.stack([v.log_abs(u) for v in views])
     mx = np.max(logs, axis=0)
     mx = np.where(np.isfinite(mx), mx, 0.0)
@@ -215,7 +216,7 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
               for h in hyperplanes]
 
     def weil(cviews, hviews, u):
-        # (hyperplane, radius, theta) Weil values lambda_j
+        # (hyperplane, line, radius, theta) Weil values lambda_j
         ln = _log_norm2(cviews, u)
         return np.stack([ln + la - hv.log_abs(u)
                          for la, hv in zip(log_na, hviews)])
@@ -225,13 +226,15 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
             np.stack([np.sum(lam[list(K)], axis=0) for K in subsets]),
             axis=0)
 
-    def per_line(xi):
-        cviews = [c.line_view(xi) for c in f.components]
-        hviews = [c.line_view(xi) for c in comps]
-        return circle_mean_log(lambda u: weil(cviews, hviews, u),
-                               grid.radii, quad.n_theta, reduce=best)[0]
+    cviews = [c.line_view(dirs.directions) for c in f.components]
+    hviews = [c.line_view(dirs.directions) for c in comps]
 
-    lhs_vals = _line_sum(dirs, per_line)
+    def rows(lines):
+        cv, hv = [v[lines] for v in cviews], [v[lines] for v in hviews]
+        return circle_mean_log(lambda u: weil(cv, hv, u), grid.radii,
+                               quad.n_theta, reduce=best)[0]
+
+    lhs_vals = _line_sum(dirs, rows, len(grid.radii) * quad.n_theta)
     for s, nc, lhs in zip(t, n_cas, lhs_vals):
         rhs = (n + 1) * s.t_val - nc.n_zero
         rep.rows.append(SmtRow(s.r, lhs, rhs, rhs - lhs, s.err + nc.err))
@@ -478,11 +481,11 @@ def _identity_holds(U, P, Q, w) -> Tuple[bool, str]:
     pts = rng.standard_normal((8, w.nvars)) + \
         1j * rng.standard_normal((8, w.nvars))
     worst = 0.0
+    # a point is the node u = 1 on the line through it
     one = np.ones(1)
-    for z in pts:
-        # a point is the node u = 1 on the line through it
-        a = up.line_view(z).log_values(one)[0]
-        b = qq.line_view(z).log_values(one)[0]
+    logs = zip(up.line_view(pts).log_values(one)[:, 0],
+               qq.line_view(pts).log_values(one)[:, 0])
+    for a, b in logs:
         scale = max(a.real, b.real, 0.0)
         worst = max(worst, abs(np.exp(a - scale) - np.exp(b - scale)))
     return worst <= 1e-9, f"residual identity check, worst {worst:.2e}"

@@ -4,7 +4,9 @@ Exact line restriction and pointwise complex evaluation of polynomials,
 the counting functions of a known divisor, the pairwise test of a
 q-periodic polynomial map, q-shifts rebuilt from exactly rescaled parts,
 the Fraction-based echelon form that `nevlab.linalg` replaced, the
-determinant log matrices read one shifted line at a time, and JSON
+scalar line restriction, views of a single line, the line-by-line
+direction resampling and the determinant log matrices read one shifted
+line at a time that line bundles replaced, and JSON
 writers for the objects that `nevlab.serialize` reads (only
 `polynomial_to_json` stays in nevlab, for the CLI's determinant output).
 """
@@ -16,17 +18,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from nevlab.errors import UsageError
+from nevlab.errors import NumericError, UsageError
 from nevlab.funcspace import (CompositionSlice, HomogeneousForm,
                               ProductEntireSlice, ProductSlice,
                               ProjectiveMap, QPochhammerSpec, QuotientSlice,
                               RationalSlice, SliceFunction, as_slice)
-from nevlab.nevcore import QuadratureSpec, RadialGrid
+from nevlab.nevcore import DirectionSet, QuadratureSpec, RadialGrid
 from nevlab.polynomials import Polynomial, RationalFunction
-from nevlab.qops import QShift
+from nevlab.qops import MonomialCasoratiSlice, QShift
 from nevlab.rationals import GaussianRational
 from nevlab.serialize import polynomial_to_json
-from nevlab.slicing import MonomialDeterminantLineView, _dual_slogdet
+from nevlab.slicing import _dual_slogdet
 
 
 # ---------------------------------------------------------------------------
@@ -133,26 +135,93 @@ def qscale_exact(h: SliceFunction, q: QShift, k: int) -> SliceFunction:
 
 
 # ---------------------------------------------------------------------------
-# determinant views, one shifted line at a time
+# one line at a time: the restriction, views and loops that bundles replaced
 # ---------------------------------------------------------------------------
 
-def log_matrix_per_view(view, u) -> np.ndarray:
-    """The (nodes, M, M) log matrix of a DeterminantLineView or a
-    MonomialDeterminantLineView with one log_values call per entry view,
-    i.e. per component and shifted line: the loops that the family path
-    replaced."""
+def restrict_scalar(p: Polynomial, xi) -> np.ndarray:
+    """Coefficients (ascending degree) of p(u*xi) for one direction, in
+    scalar complex arithmetic: the restriction every line took alone."""
+    xi = np.asarray(xi, dtype=complex)
+    deg = max((sum(e) for e in p.terms), default=0)
+    out = np.zeros(deg + 1, dtype=complex)
+    for e, c in p.terms.items():
+        k = c.to_complex()
+        for x, ei in zip(xi, e):
+            if ei:
+                k *= x**ei
+        out[sum(e)] += k
+    return out
+
+
+def rational_logs_per_line(num, den, u):
+    """(log_abs, log_values) of num(u)/den(u) from one line's coefficient
+    vectors, as the view of a single line evaluated them."""
+    pv = np.polynomial.polynomial.polyval
+    u = np.asarray(u, dtype=complex)
+    nv = pv(u, num)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dv = den[0] if len(den) == 1 else pv(u, den)
+        log_abs = np.log(np.abs(nv)) - np.log(np.abs(dv))
+        dv = pv(u, den)
+        log_values = np.log(nv.astype(complex)) - np.log(dv.astype(complex))
+    return log_abs, log_values
+
+
+class OneLine:
+    """The view of h on the line through xi alone, with the per-line
+    interface that line bundles replaced: scalar identically_zero and
+    is_entire, values without the line axis, one (zeros, poles) pair.  It
+    reads the bundle of that one line."""
+
+    def __init__(self, h: SliceFunction, xi):
+        self.bundle = h.line_view(np.asarray(xi, dtype=complex)[None])
+        self.identically_zero = bool(self.bundle.identically_zero[0])
+        self.is_entire = bool(self.bundle.is_entire[0])
+        self.has_closed_zeros = self.bundle.has_closed_zeros
+
+    def log_values(self, u):
+        return self.bundle.log_values(u)[0]
+
+    def log_abs(self, u):
+        return self.bundle.log_abs(u)[0]
+
+    def divisor(self, r):
+        return self.bundle.divisor(r)[0]
+
+
+def resample_per_line(dirs: DirectionSet, is_bad, quad: QuadratureSpec):
+    """DirectionSet.resample_against with a predicate on one direction,
+    asked line by line: the loop that one predicate call on all
+    directions replaced."""
+    if dirs.directions.shape[1] == 1:
+        if is_bad(dirs.directions[0]):
+            raise NumericError("the single m=1 slice is degenerate")
+        return dirs
+    rng = np.random.default_rng(quad.seed + 1)
+    out = dirs.directions.copy()
+    for i in range(out.shape[0]):
+        tries = 0
+        while is_bad(out[i]):
+            tries += 1
+            if tries > quad.resample_limit:
+                raise NumericError("could not find a nondegenerate direction")
+            out[i] = DirectionSet._draw(rng, 1, out.shape[1])[0]
+    return DirectionSet(out, dirs.weights)
+
+
+def log_matrix_per_view(det, xi, u) -> np.ndarray:
+    """The (nodes, M, M) log matrix of a (monomial) Casoratian on the line
+    through xi, with one view and one log_values call per component and
+    shifted line q^k*xi: the loops that column bundles replaced."""
     flat = np.asarray(u, dtype=complex).ravel()
-    if not isinstance(view, MonomialDeterminantLineView):
-        n = len(view.matrix)
-        logm = np.empty((flat.size, n, n), dtype=complex)
-        for i, row in enumerate(view.matrix):
-            for j, v in enumerate(row):
-                logm[:, i, j] = v.log_values(flat)
-        return logm
-    M = len(view.monos)
-    emat = np.asarray(view.monos, dtype=float)
-    comp = np.stack([np.stack([v.log_values(flat) for v in row], axis=1)
-                     for row in view.rows])
+    M = len(det.monos)
+    powers = [det.q.numeric_powers(k) for k in range(M)]
+    comp = np.stack([np.stack([OneLine(c, p * xi).log_values(flat)
+                               for c in det.components], axis=1)
+                     for p in powers])  # comp[k, node, j]
+    if not isinstance(det, MonomialCasoratiSlice):
+        return comp.transpose(1, 0, 2)
+    emat = np.asarray(det.monos, dtype=float)
     fin = np.isfinite(comp.real)
     safe = np.where(fin, comp, 0)
     logm = np.empty((flat.size, M, M), dtype=complex)
@@ -170,9 +239,9 @@ def log_matrix_per_view(view, u) -> np.ndarray:
 
 
 def scaled_samples_per_point(det, pts) -> np.ndarray:
-    """qops.scaled_samples with one determinant view, and one log matrix
-    read line by line, per sample point."""
-    logm = np.stack([log_matrix_per_view(det.line_view(z), np.ones(1))[0]
+    """qops.scaled_samples with one log matrix read line by line per
+    sample point."""
+    logm = np.stack([log_matrix_per_view(det, z, np.ones(1))[0]
                      for z in pts])
     return np.exp(_dual_slogdet(logm)[1])
 

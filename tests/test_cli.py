@@ -84,6 +84,43 @@ def test_nev_malformed_grid_is_usage_error(tmp_path, spec):
     assert "Warning" not in proc.stderr
 
 
+def run_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+MAP_2D = {"components": [
+    {"nvars": 2, "terms": [{"exps": [0, 0], "re": "1", "im": "0"}]},
+    {"nvars": 2, "terms": [{"exps": [1, 0], "re": "1", "im": "0"}]},
+    {"nvars": 2, "terms": [{"exps": [0, 1], "re": "1", "im": "0"}]}]}
+
+
+@pytest.mark.parametrize("quad", [{"seed": -1}, {"resample_limit": -1}])
+def test_negative_quadrature_seed_or_resample_limit_is_usage_error(
+        tmp_path, quad):
+    # numpy's generator rejects a negative seed with a traceback, and a
+    # negative resample limit fails only on the first degenerate line
+    with open(os.path.join(DATA, "golden_run.json")) as fh:
+        cfg = json.load(fh)
+    cfg["quad"] = {"lines": 4, "theta": 32, **quad}
+    path = write(tmp_path, "run.json", cfg)
+    code, err = run_stderr(["verify", "cartan", "--config", path])
+    assert code == 1
+    key = "seed" if "seed" in quad else "resample_limit"
+    assert err == f"usage error: {path}.quad: {key} must be nonnegative\n"
+
+
+def test_nev_negative_seed_is_usage_error(tmp_path):
+    mp = write(tmp_path, "map.json", MAP_2D)
+    code, err = run_stderr(["nev", "--map", mp, "--grid", "10:100:2",
+                            "--lines", "4", "--theta", "32", "--seed", "-1"])
+    assert code == 1
+    assert err == "usage error: seed must be nonnegative\n"
+
+
 @pytest.mark.parametrize("poly", [
     {"nvars": 1, "terms": [[[1], ["1", "0"]]]},
     {"nvars": 1, "terms": {"exps": [1], "re": "1", "im": "0"}}])

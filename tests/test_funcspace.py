@@ -19,7 +19,8 @@ Z = Polynomial.variable(0, 1)
 
 def value_at(h, z):
     """h(z): a point is the node u = 1 on the line through it."""
-    return np.exp(h.line_view(z).log_values(np.ones(1))[0])
+    return np.exp(h.line_view(np.asarray(z)[None]).log_values(np.ones(1))[
+        0, 0])
 
 
 def test_rational_slice_log_value():
@@ -39,18 +40,21 @@ def test_product_and_quotient_values():
 def test_rational_line_view_kept_per_direction():
     x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     h = RationalSlice(RationalFunction(x * y + 1, x - y + 3))
-    xi = np.array([0.6, 0.8j])
-    view = h.line_view(xi)
-    assert h.line_view(xi.copy()) is view
-    assert h.line_view([0.6, 0.8j]) is view
-    other = h.line_view(np.array([0.8, 0.6j]))
+    # one bundle per direction set, kept by the directions' bytes
+    lines = np.array([[0.6, 0.8j], [0.8, 0.6j]])
+    view = h.line_view(lines)
+    assert h.line_view(lines.copy()) is view
+    assert h.line_view([[0.6, 0.8j], [0.8, 0.6j]]) is view
+    other = h.line_view(lines[::-1])
     assert other is not view
-    assert h.line_view(np.array([0.8, 0.6j])) is other
+    assert h.line_view(np.array([[0.8, 0.6j], [0.6, 0.8j]])) is other
+    assert np.array_equal(other.num, view.num[::-1])
     # views are per instance: an equal slice builds its own
-    assert RationalSlice(h.rf).line_view(xi) is not view
-    # a constant is the same on every line: one view serves all of them
+    assert RationalSlice(h.rf).line_view(lines) is not view
     c = constant_slice(3, 2)
-    assert c.line_view(xi) is c.line_view(np.array([0.8, 0.6j]))
+    assert c.line_view(lines) is c.line_view(lines.copy())
+    assert np.array_equal(c.line_view(lines).log_values(np.ones(3)),
+                          np.full((2, 3), np.log(3 + 0j)))
 
 
 def test_pochhammer_value():
@@ -66,8 +70,8 @@ def test_pochhammer_value():
 def test_pochhammer_zero_lattice():
     # zeros of (z; 1/2)_inf sit at z = 2^k, k >= 0
     h = ProductEntireSlice(QPochhammerSpec(Fraction(1, 2), Z))
-    v = h.line_view(np.array([1.0 + 0j]))
-    zeros, poles = v.divisor(10.0)
+    v = h.line_view(np.array([[1.0 + 0j]]))
+    [(zeros, poles)] = v.divisor(10.0)
     zs = sorted(abs(a) for a, _ in zeros)
     assert np.allclose(zs, [1.0, 2.0, 4.0, 8.0]) and poles == []
 

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import os
 import warnings
 from fractions import Fraction
 
@@ -20,11 +21,15 @@ from nevlab.nevcore import (DirectionSet, NevSample, QuadratureSpec,
                             fit_slope,
                             jensen_residual, order_estimate, proximity)
 from nevlab.funcspace import SliceFunction
+from nevlab.funcspace import HomogeneousForm
 from nevlab.polynomials import Polynomial, RationalFunction
+from nevlab.serialize import load_run_config
+from nevlab.verifier import verify_cartan_smt, verify_hsmt_weil
 from nevlab.slicing import (LineView, PochhammerLineView, ProductLineView,
                             QuotientLineView, RationalLineView)
+import nevlab.nevcore as nevcore
 import nevlab.slicing as slicing
-from oracles import divisor_counts
+from oracles import OneLine, divisor_counts, resample_per_line
 
 Z = Polynomial.variable(0, 1)
 X2, Y2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
@@ -98,7 +103,7 @@ def test_direction_where_a_slice_vanishes_is_replaced(monkeypatch):
     base = _draw_with(monkeypatch, {1: ON_X2_AXIS})
     got = directions_for(RESAMPLE_QUAD, h)
     assert _replaced_rows(got, base) == [1]
-    assert not h.line_view(got.directions[1]).identically_zero
+    assert not OneLine(h, got.directions[1]).identically_zero
 
 
 def test_direction_where_every_map_component_vanishes_is_replaced(
@@ -120,14 +125,42 @@ def test_directions_for_is_one_pass_of_the_combined_predicate(monkeypatch):
     base = _draw_with(monkeypatch, {0: ON_X2_AXIS, 1: diagonal,
                                     3: on_x1_axis})
 
+    # the oracle asks the predicate line by line, the lines alone
     def bad(xi):
-        return (all(c.line_view(xi).identically_zero for c in f.components)
-                or h.line_view(xi).identically_zero
-                or g.line_view(xi).identically_zero)
+        return (all(OneLine(c, xi).identically_zero for c in f.components)
+                or OneLine(h, xi).identically_zero
+                or OneLine(g, xi).identically_zero)
 
-    want = base.resample_against(bad, RESAMPLE_QUAD)
+    want = resample_per_line(base, bad, RESAMPLE_QUAD)
     got = directions_for(RESAMPLE_QUAD, h, g, f=f)
     assert _replaced_rows(got, base) == [0, 1, 3]
+    assert got.directions.tobytes() == want.directions.tobytes()
+
+
+def test_degenerate_replacement_draw_is_drawn_again(monkeypatch):
+    # the first replacement of row 1 lands on the degenerate line again;
+    # the direction picker and the line-by-line oracle draw the same rows
+    h, g = RationalSlice(X2), RationalSlice(X2 - Y2)
+    base = _draw_with(monkeypatch, {1: ON_X2_AXIS, 2: ON_X2_AXIS})
+    draw = DirectionSet._draw
+
+    def run(pick):
+        drawn = []
+
+        def degenerate_first(rng, k, m):
+            drawn.append(draw(rng, k, m))
+            return ON_X2_AXIS[None] if len(drawn) == 1 else drawn[-1]
+
+        monkeypatch.setattr(DirectionSet, "_draw",
+                            staticmethod(degenerate_first))
+        return pick(), len(drawn)
+
+    got, n_got = run(lambda: directions_for(RESAMPLE_QUAD, h, g))
+    want, n_want = run(lambda: resample_per_line(
+        base, lambda xi: OneLine(h, xi).identically_zero
+        or OneLine(g, xi).identically_zero, RESAMPLE_QUAD))
+    assert _replaced_rows(got, base) == [1, 2]
+    assert n_got == n_want == 3
     assert got.directions.tobytes() == want.directions.tobytes()
 
 
@@ -140,9 +173,9 @@ def test_always_bad_predicate_raises_after_resample_limit():
     quad = QuadratureSpec(n_lines=4, n_theta=64, seed=3, resample_limit=5)
     calls = []
 
-    def bad(xi):
-        calls.append(xi)
-        return True
+    def bad(lines):
+        calls.append(lines)
+        return np.ones(len(lines), dtype=bool)
 
     with pytest.raises(NumericError):
         DirectionSet.sample(2, quad).resample_against(bad, quad)
@@ -157,17 +190,26 @@ def test_line_sum_is_the_per_direction_accumulation_bitwise():
     base = DirectionSet.sample(2, QuadratureSpec(n_lines=16, seed=6))
     w = rng.random(16)
     dirs = DirectionSet(base.directions, w / w.sum())
-    rows = {xi.tobytes(): rng.standard_normal((3, 5)) * 10.0 ** rng.integers(
-        -8, 8, (3, 5)) for xi in dirs.directions}
-    got = _line_sum(dirs, lambda xi: rows[xi.tobytes()])
+    rows = rng.standard_normal((16, 3, 5)) * 10.0 ** rng.integers(
+        -8, 8, (16, 3, 5))
     want = np.zeros((3, 5))
     for j in range(3):
         for i in range(5):
             acc = 0.0
-            for xi, wk in zip(dirs.directions, dirs.weights):
-                acc += wk * rows[xi.tobytes()][j, i]
+            for row, wk in zip(rows, dirs.weights):
+                acc += wk * row[j, i]
             want[j, i] = acc
-    assert got.tobytes() == want.tobytes()
+    # passes of 16, 1, 2 and 7 lines
+    for nodes in (0, nevcore._LINE_PASS, nevcore._LINE_PASS // 2, nevcore._LINE_PASS // 7):
+        passes = []
+
+        def part(lines):
+            passes.append(lines)
+            return rows[lines]
+
+        got = _line_sum(dirs, part, nodes)
+        assert got.tobytes() == want.tobytes()
+        assert len(passes) == -(-16 // max(1, nevcore._LINE_PASS // max(nodes, 1)))
 
 
 def test_counting_closed_form():
@@ -243,16 +285,26 @@ def test_order_estimate_polynomial_growth():
 
 
 class _CountingView(LineView):
-    """u -> 1 + u/2, entire without closed zeros: counted through Jensen."""
+    """u -> 1 + u/2 on each of its lines, entire without closed zeros:
+    counted through Jensen.  Every view of a slice of its lines is kept in
+    `parts`."""
 
     has_closed_zeros = False
 
-    def __init__(self):
+    def __init__(self, lines, parts):
+        self.identically_zero = np.zeros(lines, dtype=bool)
+        self.is_entire = np.ones(lines, dtype=bool)
+        self.parts = parts
         self.calls = 0
+
+    def __getitem__(self, lines):
+        self.parts.append(type(self)(len(self.is_entire[lines]), self.parts))
+        return self.parts[-1]
 
     def log_values(self, u):
         self.calls += 1
-        return np.log(1 + 0.5 * np.asarray(u, dtype=complex))
+        u = np.asarray(u, dtype=complex)
+        return np.log(1 + 0.5 * np.broadcast_to(u, (len(self),) + u.shape))
 
 
 class _CountingSlice(SliceFunction):
@@ -261,8 +313,8 @@ class _CountingSlice(SliceFunction):
     def __init__(self):
         self.views = []
 
-    def line_view(self, xi):
-        self.views.append(_CountingView())
+    def line_view(self, lines):
+        self.views.append(_CountingView(len(lines), []))
         return self.views[-1]
 
 
@@ -271,15 +323,19 @@ def test_counting_evaluates_unit_circle_once_per_direction():
     quad = QuadratureSpec(n_lines=3, n_theta=64, seed=2)
     grid = RadialGrid((10.0, 100.0, 1000.0))
     samples = counting(h, grid, quad, DirectionSet.sample(2, quad))
-    assert [v.calls for v in h.views] == [len(grid.radii) + 1] * 3
+    # one bundle for all lines; Jensen reads one line per call
+    [view] = h.views
+    assert view.calls == 0
+    assert [len(v) for v in view.parts] == [1] * 3
+    assert [v.calls for v in view.parts] == [len(grid.radii) + 1] * 3
     for s in samples:  # one zero, at u = -2
         assert abs(s.n_zero - math.log(s.r / 2)) < 1e-9
 
 
 def test_line_counts_asks_each_view_for_its_divisor_once(monkeypatch):
-    # a closed divisor is built once per line, at the largest radius, and
-    # every radius is counted from it; the calls keep their views alive,
-    # so no two of them share an id
+    # a closed divisor is built once per bundle, at the largest radius,
+    # and every radius is counted from it; the calls keep their views
+    # alive, so no two of them share an id
     calls = []
     for cls in (slicing.RationalLineView, slicing.PochhammerLineView,
                 slicing.ProductLineView, slicing.QuotientLineView):
@@ -295,8 +351,8 @@ def test_line_counts_asks_each_view_for_its_divisor_once(monkeypatch):
     grid = RadialGrid((10.0, 100.0, 1000.0))
     counting(h, grid, quad, DirectionSet.sample(2, quad))
     assert collections.Counter(type(v).__name__ for v, _ in calls) == {
-        "QuotientLineView": 3, "ProductLineView": 3,
-        "RationalLineView": 6, "PochhammerLineView": 3}
+        "QuotientLineView": 1, "ProductLineView": 1,
+        "RationalLineView": 2, "PochhammerLineView": 1}
     assert len({id(v) for v, _ in calls}) == len(calls)
     assert {r for _, r in calls} == {1000.0}
 
@@ -347,9 +403,9 @@ def composite_divisors(draw):
         add(rational[1], shared, as_zero=False)
     sides = {True: [], False: []}
     zeros, poles = (poch_zeros, []) if poch_side else ([], poch_zeros)
-    sides[poch_side].append(PochhammerLineView(1 / qinv, a, 0))
+    sides[poch_side].append(PochhammerLineView(1 / qinv, [a], [0]))
     for side, nr, dr, lead in rational:
-        coeffs = [lead * (np.poly(r)[::-1] if r else np.ones(1))
+        coeffs = [lead * (np.poly(r)[::-1] if r else np.ones(1))[None]
                   for r in (nr, dr)]
         sides[side].append(RationalLineView(*coeffs))
         zeros, poles = (zeros + nr, poles + dr) if side \
@@ -364,7 +420,7 @@ def composite_divisors(draw):
 @given(composite_divisors())
 def test_line_counts_match_known_divisor(case):
     view, zeros, poles = case
-    nz, npole, err = _line_counts(view, DIVISOR_RADII, 64)
+    [(nz, npole, err)] = _line_counts(view, DIVISOR_RADII, 64)
     ez, ep = divisor_counts(zeros, poles, DIVISOR_RADII)
     assert np.allclose(nz, ez, rtol=0, atol=1e-9)
     assert np.allclose(npole, ep, rtol=0, atol=1e-9)
@@ -396,7 +452,7 @@ def _reference_characteristic(f, grid, quad, dirs):
 
     out = [NevSample(r) for r in grid.radii]
     for xi, w in zip(dirs.directions, dirs.weights):
-        vs = [c.line_view(xi) for c in f.components]
+        vs = [OneLine(c, xi) for c in f.components]
         base, ebase = sphere(vs, 1.0)
         for s in out:
             tr, er = sphere(vs, s.r)
@@ -481,7 +537,7 @@ class _OldCircleMeans:
 def _reference_proximity(h, grid, old, dirs):
     out = [NevSample(r) for r in grid.radii]
     for xi, w in zip(dirs.directions, dirs.weights):
-        v = h.line_view(xi)
+        v = OneLine(h, xi)
         for s in out:
             mv, err = old.mean_logplus(v, s.r)
             s.m_val += w * mv
@@ -492,7 +548,7 @@ def _reference_proximity(h, grid, old, dirs):
 def _reference_jensen_counting(h, grid, old, dirs):
     out = [NevSample(r) for r in grid.radii]
     for xi, w in zip(dirs.directions, dirs.weights):
-        v = h.line_view(xi)
+        v = OneLine(h, xi)
         i1, e1 = old.mean_log(v, 1.0)
         for s in out:
             ir, er = old.mean_log(v, s.r)
@@ -504,7 +560,7 @@ def _reference_jensen_counting(h, grid, old, dirs):
 def _reference_jensen_residual(h, grid, old, dirs):
     out = [NevSample(r) for r in grid.radii]
     for xi, w in zip(dirs.directions, dirs.weights):
-        v = h.line_view(xi)
+        v = OneLine(h, xi)
         i1, e1 = old.mean_log(v, 1.0)
         for s in out:
             zeros, poles = v.divisor(s.r)
@@ -523,13 +579,15 @@ class _NodeZeroView(_CountingView):
 
     def log_values(self, u):
         self.calls += 1
+        u = np.asarray(u, dtype=complex)
         with np.errstate(divide="ignore"):
-            return np.log(1 - 0.1 * np.asarray(u, dtype=complex))
+            return np.log(1 - 0.1 * np.broadcast_to(u, (len(self),)
+                                                    + u.shape))
 
 
 class _NodeZeroSlice(_CountingSlice):
-    def line_view(self, xi):
-        self.views.append(_NodeZeroView())
+    def line_view(self, lines):
+        self.views.append(_NodeZeroView(len(lines), []))
         return self.views[-1]
 
 
@@ -593,3 +651,72 @@ def test_circle_mean_log_raises_when_retry_stays_singular(reduce):
     with pytest.raises(NumericError):
         circle_mean_log(_singular_at_zero_angle, (10.0, 100.0), 64,
                         reduce=reduce)
+
+
+# ---------------------------------------------------------------------------
+# passes: a functional reads its bundles in passes of consecutive lines
+# ---------------------------------------------------------------------------
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _pass_functionals():
+    """name -> (nodes per line, rows of the functional as bytes) for every
+    functional that splits its lines into passes, on 16 lines x 64 theta."""
+    cfg = load_run_config(os.path.join(DATA, "golden_run.json"))
+    quad = QuadratureSpec(n_lines=16, n_theta=64, seed=3)
+    grid = RadialGrid((10.0, 100.0, 1000.0))
+    f = cfg.map
+    h = RationalSlice(RationalFunction(X2 * X2 + Y2 - 1,
+                                       X2 - Y2.scale(2) + 3))
+    R, N = len(grid.radii), quad.n_theta
+
+    def fields(samples):
+        return np.array([[s.m_val, s.n_zero, s.n_pole, s.t_val, s.err]
+                         for s in samples]).tobytes()
+
+    def weil():
+        rep = verify_hsmt_weil(f, cfg.forms, cfg.q, grid, quad)
+        return np.array([[r.lhs, r.rhs, r.err] for r in rep.rows]).tobytes()
+
+    return {
+        "proximity": (R * N, lambda: fields(proximity(h, grid, quad))),
+        "characteristic": ((R + 1) * N,
+                           lambda: fields(characteristic(f, grid, quad))),
+        "jensen_residual": ((R + 1) * N,
+                            lambda: fields(jensen_residual(h, grid, quad))),
+        "fmt_residual": ((R + 1) * N, lambda: fields(nevcore.fmt_residual(
+            f, HomogeneousForm.hyperplane([1, -2, 3]), grid, quad))),
+        "weil": (R * N, weil),
+    }
+
+
+@pytest.mark.parametrize("lines", [1, 7])
+def test_pass_cap_keeps_every_row(monkeypatch, lines):
+    for name, (nodes, rows) in _pass_functionals().items():
+        monkeypatch.setattr(nevcore, "_LINE_PASS", 2 ** 40)
+        want = rows()
+        monkeypatch.setattr(nevcore, "_LINE_PASS", lines * nodes)
+        assert rows() == want, name
+
+
+def test_one_restriction_per_polynomial_for_all_lines(monkeypatch):
+    # every polynomial of the harness is restricted to the 64 sampled lines
+    # in one call, whatever the number of passes its functionals take
+    calls = []
+    restrict = Polynomial.restrict_numeric
+
+    def counted(self, lines):
+        calls.append((self, len(lines)))
+        return restrict(self, lines)
+
+    monkeypatch.setattr(Polynomial, "restrict_numeric", counted)
+    cfg = load_run_config(os.path.join(DATA, "golden_run_degree3.json"))
+    rep = verify_cartan_smt(cfg.map, cfg.forms, cfg.q, cfg.grid, cfg.quad)
+    assert len(rep.rows) == len(cfg.grid.radii)
+    assert {n for _, n in calls} == {cfg.quad.n_lines}
+    per_poly = collections.Counter(id(p) for p, _ in calls)
+    assert set(per_poly.values()) == {1}
+    # numerator and denominator of 3 components, 5 hyperplane compositions
+    # and the exact Casoratian
+    assert len(calls) == 2 * (3 + 5 + 1)

@@ -1,5 +1,8 @@
 """Sparse polynomial and rational-function algebra, exact."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +10,7 @@ from nevlab.errors import UsageError
 from nevlab.polynomials import (Polynomial, RationalFunction, poly_gcd,
                                 try_divide)
 from nevlab.rationals import ONE, GaussianRational
-from oracles import restrict_exact
+from oracles import restrict_exact, restrict_scalar
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 coeffs = st.builds(GaussianRational, fracs, fracs)
@@ -132,3 +135,43 @@ def test_rational_field_axioms(ab):
     ra, rb = RationalFunction(a), RationalFunction(b)
     assert (ra / rb) * rb == ra
     assert ra - ra == RationalFunction(Polynomial.zero(1))
+
+
+# a coordinate of a sampled line: signed zeros on either part, small and
+# large magnitudes
+coordinates = st.builds(
+    complex,
+    st.one_of(st.sampled_from([0.0, -0.0]),
+              st.floats(-1e3, 1e3, allow_subnormal=False)),
+    st.one_of(st.sampled_from([0.0, -0.0]),
+              st.floats(-1e3, 1e3, allow_subnormal=False)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    polys(m, max_deg=9, max_terms=6),
+    st.lists(st.lists(coordinates, min_size=m, max_size=m).filter(any),
+             min_size=1, max_size=6))))
+def test_restrict_numeric_rows_are_the_scalar_restriction_bitwise(case):
+    # exponents to 9 run numpy's binary powering past the unrolled 1, 2, 3
+    p, lines = case
+    lines = np.array(lines, dtype=complex)
+    got = p.restrict_numeric(lines)
+    assert got.shape == (len(lines), max(p.total_degree(), 0) + 1)
+    with np.errstate(all="ignore"):
+        want = np.array([restrict_scalar(p, xi) for xi in lines])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_restrict_numeric_high_power_and_signed_zero_coordinates():
+    # x**e for e >= 100 is libm's cpow, taken per entry; a zero base of
+    # either sign gives +0 in numpy's scalar power
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    p = x ** 101 + GaussianRational(Fraction(1, 3), Fraction(-2)) * x * y ** 5
+    lines = np.array([[0.99 + 0.1j, -0.0 - 0.0j], [complex(-0.0, 0.5), 1j],
+                      [complex(0.0, -0.0), 2.0]])
+    want = np.array([restrict_scalar(p, xi) for xi in lines])
+    assert p.restrict_numeric(lines).tobytes() == want.tobytes()
+    for bad in (np.ones(2), np.ones((1, 3)), np.zeros((2, 2))):
+        with pytest.raises(UsageError):
+            p.restrict_numeric(bad)

@@ -24,8 +24,9 @@ from nevlab.qops import (N_SAMPLES, CasoratiSlice, MonomialCasoratiSlice,
 from nevlab.rationals import GaussianRational
 from nevlab.slicing import POCHHAMMER_TAIL, _nterms, _pochhammer_log
 import nevlab.slicing as slicing
-from oracles import (eval_abs_terms, eval_complex, log_matrix_per_view,
-                     qscale_exact, qshift_numeric, scaled_samples_per_point)
+from oracles import (OneLine, eval_abs_terms, eval_complex,
+                     log_matrix_per_view, qscale_exact, qshift_numeric,
+                     scaled_samples_per_point)
 
 Z = Polynomial.variable(0, 1)
 Q2 = QShift([2])
@@ -175,9 +176,9 @@ def _log_rounding(h, xi, u):
     if isinstance(h, (ProductSlice, QuotientSlice)):
         parts = h.factors if isinstance(h, ProductSlice) else [h.num, h.den]
         return sum(_log_rounding(p, xi, u)
-                   + EPS * np.abs(p.line_view(xi).log_values(u))
+                   + EPS * np.abs(OneLine(p, xi).log_values(u))
                    for p in parts)
-    logs = [c.line_view(xi).log_values(u) for c in h.components]
+    logs = [OneLine(c, xi).log_values(u) for c in h.components]
     errs = [_log_rounding(c, xi, u) for c in h.components]
     terms = [np.log(a) + sum(e * lv for e, lv in zip(exps, logs))
              for a, exps in h.coeffs]
@@ -201,10 +202,10 @@ def test_qscale_is_a_change_of_direction(case):
     # Pochhammer arguments
     h, q, k, xi, u = case
     shifted = qshift_numeric(q) ** k * xi
-    got = qscale(h, q, k).line_view(xi).log_abs(u)
+    got = OneLine(qscale(h, q, k), xi).log_abs(u)
     bound = 2 * _log_rounding(h, shifted, u)
-    for want in (h.line_view(shifted).log_abs(u),
-                 qscale_exact(h, q, k).line_view(xi).log_abs(u)):
+    for want in (OneLine(h, shifted).log_abs(u),
+                 OneLine(qscale_exact(h, q, k), xi).log_abs(u)):
         assert np.all((got == want) | (np.abs(got - want) <= bound))
 
 
@@ -328,7 +329,7 @@ def test_numeric_casorati_matches_exact(inputs, seed):
     xi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     u = np.outer([0.5, 2.0], np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
     z = u[:, None] * xi
-    got = numeric.line_view(xi).log_values(u).real
+    got = OneLine(numeric, xi).log_values(u).real
     c_abs, c_round = _rounding_scale(exact.rf, z)
     assume(np.all(c_abs > 0) and np.all(np.isfinite(c_abs)))
     ref = np.log(c_abs)
@@ -411,10 +412,9 @@ def test_numeric_alpha1_monomial_casorati_is_the_casorati(q):
     assert type(mono) is MonomialCasoratiSlice
     rng = np.random.default_rng(3)
     u = np.outer([0.5, 2.0, 8.0], np.exp(2j * np.pi * np.arange(16) / 16))
-    for _ in range(3):
-        xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.array_equal(plain.line_view(xi).log_abs(u),
-                              mono.line_view(xi).log_abs(u))
+    lines = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    assert np.array_equal(plain.line_view(lines).log_abs(u),
+                          mono.line_view(lines).log_abs(u))
     pts = _sample_points(2, N_SAMPLES, 7)
     assert np.array_equal(scaled_samples(plain, pts),
                           scaled_samples(mono, pts))
@@ -482,13 +482,17 @@ def test_family_log_matrix_equals_per_view_loop(make, q, alpha):
     circle = np.exp(2j * np.pi * np.arange(64) / 64)
     for det in (casorati(f.components, q), casorati_monomials(f, alpha, q)):
         for r in (10.0, 1000.0):
-            xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            view = det.line_view(xi)
+            lines = rng.standard_normal((3, 2)) \
+                + 1j * rng.standard_normal((3, 2))
+            view = det.line_view(lines)
             for u in (r * circle, np.ones(1)):
                 got = view.log_matrix(u)
-                ref = log_matrix_per_view(view, u)
-                assert got.shape == ref.shape
-                assert np.array_equal(got, ref, equal_nan=True)
+                for k, xi in enumerate(lines):
+                    ref = log_matrix_per_view(det, xi, u)
+                    assert got[k].shape == ref.shape
+                    assert np.array_equal(got[k], ref, equal_nan=True)
+                    assert np.array_equal(view[k:k + 1].log_matrix(u)[0],
+                                          ref, equal_nan=True)
         pts = _sample_points(2, N_SAMPLES, 5)
         assert scaled_samples(det, pts).tobytes() == \
             scaled_samples_per_point(det, pts).tobytes()
@@ -510,7 +514,7 @@ def test_one_kernel_call_per_component_family(monkeypatch):
     pts = _sample_points(2, N_SAMPLES, 7)
     for det, M in ((casorati(f.components, q), 3),
                    (casorati_monomials(f, 4, q), 15)):
-        view = det.line_view(np.array([1.0, 0.5j]))
+        view = det.line_view(np.array([[1.0, 0.5j]]))
         calls.clear()
         view.log_matrix(u)
         assert calls == [(M, 64)] * 2

@@ -135,6 +135,13 @@ def test_quad_roundtrip():
     assert q2 == q
 
 
+@pytest.mark.parametrize("key", ["seed", "resample_limit"])
+def test_quad_rejects_negative_seed_and_resample_limit(key):
+    with pytest.raises(UsageError, match=f"quad: {key} must be nonnegative"):
+        quad_from_json({"lines": 4, "theta": 32, key: -1})
+    assert getattr(quad_from_json({key: 0}), key) == 0
+
+
 def test_qdiff_roundtrip():
     P = QDiffPolynomial(
         [QDiffTerm(Polynomial.constant(3, 1),

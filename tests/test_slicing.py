@@ -28,7 +28,9 @@ from nevlab.slicing import (ConstantLineView, DeterminantLineView,
                             RationalLineView, _nterms, _pochhammer_log,
                             _scaled_slogdet, _tropical_slogdet)
 import nevlab.slicing as slicing
-from oracles import eval_complex
+from nevlab.qops import QShift, casorati, casorati_monomials
+from oracles import (eval_complex, rational_logs_per_line,
+                     restrict_scalar)
 
 # the src/ directory nevlab is imported from, for fresh processes
 SRC = os.path.dirname(os.path.dirname(slicing.__file__))
@@ -281,10 +283,10 @@ def test_scipy_optimize_imports_after_the_loader():
 
 def test_rational_line_view_cancellation():
     # (z-2)(z-3)/(z-2): the common root must not appear in both multisets
-    num = np.array([6.0, -5.0, 1.0], dtype=complex)
-    den = np.array([-2.0, 1.0], dtype=complex)
+    num = np.array([[6.0, -5.0, 1.0]], dtype=complex)
+    den = np.array([[-2.0, 1.0]], dtype=complex)
     v = RationalLineView(num, den)
-    zeros, poles = v.divisor(10.0)
+    [(zeros, poles)] = v.divisor(10.0)
     assert sum(m for _, m in zeros) == 1
     assert abs(zeros[0][0] - 3.0) < 1e-8
     assert not poles
@@ -384,8 +386,8 @@ def test_pochhammer_kernel_exact_zero():
     # 5e-324 from a zero: the chunk product leaves the normal range
     assert _pochhammer_log(0.5, np.array([1 + 5e-324j])).real[0] \
         == -np.inf
-    assert PochhammerLineView(0.5, 0.0, 4.0).identically_zero
-    assert not PochhammerLineView(0.5, 0.0, 3.0).identically_zero
+    view = PochhammerLineView(0.5, [0.0, 0.0, 1.0], [4.0, 3.0, 4.0])
+    assert view.identically_zero.tolist() == [True, False, False]
 
 
 def test_pochhammer_kernel_fraction_base_equals_complex_base():
@@ -455,7 +457,7 @@ gauss = st.builds(GaussianRational,
 # ---------------------------------------------------------------------------
 
 def point_log(h, z):
-    return h.line_view(z).log_values(np.ones(1))[0]
+    return h.line_view(z[None]).log_values(np.ones(1))[0, 0]
 
 
 def reference_log(h, z):
@@ -570,21 +572,21 @@ def test_composition_point_value_where_a_component_vanishes():
 def test_nonzero_constant_gets_constant_view(c, xs, us):
     xi = np.array([complex(xs[0], xs[1]), complex(xs[2], xs[3])])
     u = np.array(us) * (1 - 0.5j)
-    view = constant_slice(c, 2).line_view(xi)
+    view = constant_slice(c, 2).line_view(np.stack([xi, -xi]))
     assert isinstance(view, ConstantLineView)
-    ref = RationalLineView([c.to_complex()], [1])
+    ref = RationalLineView([[c.to_complex()]] * 2, [[1]] * 2)
     assert view.log_values(u).tobytes() == ref.log_values(u).tobytes()
     assert view.log_abs(u).tobytes() == ref.log_abs(u).tobytes()
-    assert view.divisor(1e6) == ([], [])
-    assert not view.identically_zero
+    assert view.divisor(1e6) == [([], [])] * 2
+    assert not np.any(view.identically_zero)
 
 
 def test_counting_zero_constant_raises():
     # the zero constant gets a ConstantLineView like every other constant;
     # counting is where a view vanishing on its line is rejected
     h = constant_slice(0, 2)
-    view = h.line_view(np.array([1.0, 1j]))
-    assert isinstance(view, ConstantLineView) and view.identically_zero
+    view = h.line_view(np.array([[1.0, 1j]]))
+    assert isinstance(view, ConstantLineView) and view.identically_zero[0]
     quad = QuadratureSpec(n_lines=2, n_theta=64, seed=0)
     with pytest.raises(UsageError, match="vanishes identically"):
         counting(h, RadialGrid((2.0, 4.0)), quad,
@@ -614,7 +616,7 @@ def assert_log_abs_matches(view, u):
     1 + |log|h||, since log|h| crosses 0), with the same infinities and
     no NaN on either path."""
     got, ref = view.log_abs(u), view.log_values(u).real
-    assert got.dtype == float and got.shape == np.shape(u)
+    assert got.dtype == float and got.shape == (len(view),) + np.shape(u)
     assert not np.any(np.isnan(got)) and not np.any(np.isnan(ref))
     inf = np.isinf(ref)
     assert np.array_equal(got[inf], ref[inf])
@@ -626,10 +628,10 @@ def assert_log_abs_matches(view, u):
 
 # (u - 1)(u + 2), zero at u = 1; (u + 1/2)(u - 3), zero at u = -1/2: both
 # vanish exactly in double precision at those nodes
-NUM = np.array([-2.0, 1.0, 1.0], dtype=complex)
-DEN = np.array([-1.5, -2.5, 1.0], dtype=complex)
+NUM = np.array([[-2.0, 1.0, 1.0]], dtype=complex)
+DEN = np.array([[-1.5, -2.5, 1.0]], dtype=complex)
 # (u; 1/2)_inf vanishes at u = 1, 2, 4, ...
-POCH = (0.5, 1.0, 0.0)
+POCH = (0.5, [1.0], [0.0])
 NODES = np.array([1.0, -0.5, 2.0, 0.0, 0.3 + 0.7j, -2.5 - 1e3j, 40 + 3j])
 
 
@@ -637,25 +639,26 @@ def _rational():
     return RationalLineView(NUM, DEN)
 
 
+# views of one line; a determinant's columns hold its two shifted lines
 VIEWS = {
-    "constant": lambda: ConstantLineView(-1.5 + 2j),
-    "constant_zero": lambda: ConstantLineView(0),
-    "rational_constant_den": lambda: RationalLineView(NUM, [0.5 - 2j]),
+    "constant": lambda: ConstantLineView(-1.5 + 2j, 1),
+    "constant_zero": lambda: ConstantLineView(0, 1),
+    "rational_constant_den": lambda: RationalLineView(NUM, [[0.5 - 2j]]),
     "rational": _rational,
     "product": lambda: ProductLineView([
-        _rational(), PochhammerLineView(*POCH), ConstantLineView(3j)]),
+        _rational(), PochhammerLineView(*POCH), ConstantLineView(3j, 1)]),
     "quotient": lambda: QuotientLineView(
-        RationalLineView(NUM, [1.0]), PochhammerLineView(0.5, -2.0, 0.0)),
+        RationalLineView(NUM, [[1.0]]), PochhammerLineView(0.5, [-2.0], [0])),
     "form_composition": lambda: FormCompositionLineView(
         [(1.0, (2, 0)), (-3 + 1j, (1, 1)), (0.5, (0, 3))],
-        [RationalLineView(NUM, [2.0]), PochhammerLineView(*POCH)]),
+        [RationalLineView(NUM, [[2.0]]), PochhammerLineView(*POCH)]),
     # det [[u, 1], [1, u]] = u^2 - 1 vanishes at u = 1
     "determinant": lambda: DeterminantLineView(
-        [[RationalLineView([0, 1], [1]), ConstantLineView(1)],
-         [ConstantLineView(1), RationalLineView([0, 1], [1])]]),
+        [RationalLineView([[0, 1], [1, 0]], [[1], [1]]),
+         RationalLineView([[1, 0], [0, 1]], [[1], [1]])]),
     "monomial_determinant": lambda: MonomialDeterminantLineView(
-        [[RationalLineView(NUM, [1.0]), PochhammerLineView(*POCH)],
-         [RationalLineView([1, 1, 1], [1.0]), PochhammerLineView(0.25, 3, 0)]],
+        [RationalLineView([NUM[0], [1, 1, 1]], [[1.0], [1.0]]),
+         PochhammerLineView(0.5, [1.0, 3.0], [0.0, 0.0])],
         [(1, 0), (0, 1)]),
 }
 
@@ -663,7 +666,7 @@ VIEWS = {
 @pytest.mark.parametrize("name", sorted(VIEWS))
 def test_log_abs_matches_real_part_of_log_values(name):
     view = VIEWS[name]()
-    got = assert_log_abs_matches(view, NODES)
+    got = assert_log_abs_matches(view, NODES)[0]
     assert_log_abs_matches(view, NODES.reshape(7, 1) * np.ones((1, 3)))
     # nodes on a zero and on a pole read -inf and +inf, the others a finite
     # value
@@ -683,13 +686,13 @@ def test_log_abs_matches_real_part_of_log_values(name):
 
 
 def test_pochhammer_log_abs_is_bitwise_real_part():
-    view = PochhammerLineView(0.3 - 0.4j, 2 - 1j, 0.5)
+    view = PochhammerLineView(0.3 - 0.4j, [2 - 1j, 0.5j], [0.5, -1])
     u = np.concatenate([NODES, 10.0 ** np.arange(-3, 150, 7) * (1 - 1j)])
     assert view.log_abs(u).tobytes() == view.log_values(u).real.tobytes()
     on_zero = PochhammerLineView(*POCH).log_abs(NODES)
     assert on_zero.tobytes() == \
         PochhammerLineView(*POCH).log_values(NODES).real.tobytes()
-    assert on_zero[0] == on_zero[2] == -np.inf
+    assert on_zero[0, 0] == on_zero[0, 2] == -np.inf
 
 
 @settings(max_examples=60, deadline=None)
@@ -703,9 +706,102 @@ def test_pochhammer_log_abs_is_bitwise_real_part():
                                    allow_infinity=False),
                 min_size=1, max_size=8))
 def test_rational_log_abs_matches_on_random_views(num, den, u):
-    view = RationalLineView(num, den)
+    view = RationalLineView([num], [den])
     u = np.array(u)
     pv = np.polynomial.polynomial.polyval
     # 0/0 is undefined on both paths
-    assume(not np.any((pv(u, view.num) == 0) & (pv(u, view.den) == 0)))
+    assume(not np.any((pv(u, view.num[0]) == 0)
+                      & (pv(u, view.den[0]) == 0)))
     assert_log_abs_matches(view, u)
+
+
+# ---------------------------------------------------------------------------
+# line bundles: each line of a bundle is the view of that line alone
+# ---------------------------------------------------------------------------
+
+X2, Y2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+# on the line through (1, 1/2), (z1 - 1)/(z2 - 2) and (z1; 1/2)_inf vanish
+# at the node u = 1 and the first has its pole at the node u = 4
+ZERO_AND_POLE = np.array([1.0, 0.5], dtype=complex)
+BUNDLE_NODES = np.array([1.0, 4.0, 0.5 - 2j, 3j, -7.5, 40 + 1j, 2.0])
+
+
+def _bundle_slices():
+    """One slice per view class, with their bundle's class name."""
+    rat = RationalSlice(RationalFunction(X2 - 1, Y2 - 2))
+    poch = ProductEntireSlice(QPochhammerSpec(Fraction(1, 2), X2))
+    cubic = RationalSlice(X2 ** 3 - X2 * Y2.scale(2) + 1)
+    q = QShift([Fraction(3, 2), Fraction(-1, 2)])
+    mixed = ProjectiveMap([constant_slice(1, 2), poch, cubic])
+    return {
+        "ConstantLineView": constant_slice(GaussianRational(-3, 2), 2),
+        "RationalLineView": rat,
+        "RationalLineView/polynomial": cubic,
+        "PochhammerLineView": poch,
+        "ProductLineView": ProductSlice([rat, poch]),
+        "QuotientLineView": QuotientSlice(poch, RationalSlice(Y2 - 2)),
+        "FormCompositionLineView": CompositionSlice(
+            [(1.0, (2, 0)), (-3 + 1j, (1, 1)), (0.5, (0, 2))], [rat, poch]),
+        "DeterminantLineView": casorati([poch, cubic], q),
+        "MonomialDeterminantLineView": casorati_monomials(mixed, 2, q),
+    }
+
+
+BUNDLE_SLICES = _bundle_slices()
+unit_parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+directions = st.builds(lambda a, b, c, d: np.array([complex(a, b),
+                                                    complex(c, d)]),
+                       unit_parts, unit_parts, unit_parts, unit_parts
+                       ).filter(lambda xi: np.abs(xi).max() > 1e-3)
+
+
+def assert_same(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b, equal_nan=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(directions, min_size=1, max_size=4), st.integers(0, 4))
+@pytest.mark.parametrize("name", sorted(BUNDLE_SLICES))
+def test_bundle_lines_equal_the_views_of_each_line(name, lines, at):
+    h = BUNDLE_SLICES[name]
+    lines.insert(min(at, len(lines)), ZERO_AND_POLE)
+    lines = np.array(lines)
+    bundle = h.line_view(lines)
+    assert type(bundle).__name__ == name.split("/")[0]
+    assert len(bundle) == len(lines)
+    for u in (BUNDLE_NODES, np.outer([0.5, 1.0], BUNDLE_NODES)):
+        with np.errstate(all="ignore"):
+            got_abs, got_log = bundle.log_abs(u), bundle.log_values(u)
+        assert got_abs.shape == got_log.shape == (len(lines),) + u.shape
+        for k, xi in enumerate(lines):
+            # a bundle of the line alone, built from scratch, and the
+            # line's slice of the bundle
+            for one in (h.line_view(xi[None]), bundle[k:k + 1]):
+                with np.errstate(all="ignore"):
+                    assert_same(got_abs[k], one.log_abs(u)[0])
+                    assert_same(got_log[k], one.log_values(u)[0])
+                assert one.identically_zero[0] == bundle.identically_zero[k]
+                assert one.is_entire[0] == bundle.is_entire[k]
+                if bundle.has_closed_zeros:
+                    assert one.divisor(50.0)[0] == bundle.divisor(50.0)[k]
+            if isinstance(h, RationalSlice) and not h.constant:
+                # the arithmetic of the single-line view
+                want_abs, want_log = rational_logs_per_line(
+                    restrict_scalar(h.rf.num, xi),
+                    restrict_scalar(h.rf.den, xi), u)
+                assert_same(got_abs[k], want_abs)
+                assert_same(got_log[k], want_log)
+
+
+def test_bundle_reads_nodes_on_a_zero_and_a_pole():
+    lines = np.array([[0.6, 0.8j], ZERO_AND_POLE])
+    rat = BUNDLE_SLICES["RationalLineView"].line_view(lines)
+    poch = BUNDLE_SLICES["PochhammerLineView"].line_view(lines)
+    with np.errstate(all="ignore"):
+        assert rat.log_abs(BUNDLE_NODES)[1, :2].tolist() == [-np.inf, np.inf]
+        assert np.isneginf(poch.log_abs(BUNDLE_NODES)[1, [0, 1, 6]]).all()
+    assert np.all(np.isfinite(rat.log_abs(BUNDLE_NODES)[0]))
+    [(z0, p0), (z1, p1)] = rat.divisor(10.0)
+    assert [m for _, m in z1] == [1] and abs(z1[0][0] - 1) < 1e-12
+    assert [m for _, m in p1] == [1] and abs(p1[0][0] - 4) < 1e-12
