@@ -159,8 +159,9 @@ def circle_mean_log(integrand: ArrayFn, radii, n_theta: int,
     """Per radius, the circle mean of a log-integrand and its half-node
     error estimate |mean - mean over the even nodes|.
 
-    `integrand` is evaluated once on the node tensor of `radii` (a scalar
-    radius gives scalar results); entries that are not finite, where a node
+    `integrand` is evaluated once on the node tensor of `radii`, shape
+    radii.shape + (n_theta,), and may add leading axes (a bundle's lines),
+    which the results keep; entries that are not finite, where a node
     hits a zero or pole (the singularity is integrable), are replaced by the
     values half a step away.  `reduce` then maps the values to the array
     averaged over its last axis; it runs after the retry, because e.g.

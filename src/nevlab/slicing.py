@@ -366,15 +366,9 @@ class ProductLineView(LineView):
         return sum(v.log_abs(u) for v in self.views)
 
     def divisor(self, r):
-        out = []
-        for parts in zip(*(v.divisor(r) for v in self.views)):
-            z: RootList = []
-            p: RootList = []
-            for vz, vp in parts:
-                z += vz
-                p += vp
-            out.append(_cancel(z, p))
-        return out
+        return [_cancel([z for vz, _ in parts for z in vz],
+                        [p for _, vp in parts for p in vp])
+                for parts in zip(*(v.divisor(r) for v in self.views))]
 
 
 class QuotientLineView(LineView):
@@ -628,6 +622,7 @@ class DeterminantLineView(LineView):
         self.columns = list(columns)
         self.is_entire = _shifted_entire(self.columns, len(self.columns))
         self.has_closed_zeros = False
+        # decided by the caller's sampling
         self.identically_zero = np.zeros(len(self.is_entire), dtype=bool)
 
     def __getitem__(self, lines: slice) -> "DeterminantLineView":
