@@ -149,7 +149,8 @@ class ProductEntireSlice(SliceFunction):
     def line_view(self, lines):
         lines = np.asarray(lines, dtype=complex)
         # one (1, m) x (m, 1) product per line is bitwise np.dot of the
-        # line alone, where lines @ lin is not
+        # line alone (up to the sign of a zero, which a*u + b drops), where
+        # lines @ lin is not
         a = np.matmul(lines[:, None, :], self._lin[:, None])[:, 0, 0]
         return PochhammerLineView(self._qbase, a,
                                   np.full(len(lines), self._const))

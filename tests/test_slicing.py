@@ -785,13 +785,20 @@ def test_bundle_lines_equal_the_views_of_each_line(name, lines, at):
                 assert one.is_entire[0] == bundle.is_entire[k]
                 if bundle.has_closed_zeros:
                     assert one.divisor(50.0)[0] == bundle.divisor(50.0)[k]
+            # the arithmetic of the single-line views
             if isinstance(h, RationalSlice) and not h.constant:
-                # the arithmetic of the single-line view
                 want_abs, want_log = rational_logs_per_line(
                     restrict_scalar(h.rf.num, xi),
                     restrict_scalar(h.rf.den, xi), u)
                 assert_same(got_abs[k], want_abs)
                 assert_same(got_log[k], want_log)
+            if isinstance(h, ProductEntireSlice):
+                lin, b = h.spec.affine_parts()
+                lead = (1,) * (u.ndim + 1)
+                ell = np.reshape(complex(np.dot(lin, xi)), lead) * u \
+                    + np.reshape(b, lead)
+                assert_same(got_log[k], _pochhammer_log(
+                    complex(h.spec.qbase), ell)[0])
 
 
 def test_bundle_reads_nodes_on_a_zero_and_a_pole():
