@@ -236,9 +236,9 @@ class Polynomial:
 
 def _power_by_parts(x: np.ndarray, n: int):
     """(re, im) of x**n for a complex array x and an integer n >= 1,
-    bitwise numpy's scalar complex power: n = 1, 2, 3 unrolled, then binary
-    powering from 1 below n = 100 (libm's cpow from there, taken per
-    entry); a zero base gives +0."""
+    bitwise numpy's scalar complex power up to the sign of a zero, which
+    the restriction's sums drop: n = 1, 2, 3 unrolled, then binary powering
+    from 1 below n = 100 (libm's cpow from there, taken per entry)."""
     if n >= 100:
         p = np.array([v ** n for v in x], dtype=complex)
         return p.real, p.imag
@@ -262,8 +262,7 @@ def _power_by_parts(x: np.ndarray, n: int):
             if not n:
                 break
             sq = mul(sq, sq)
-    zero = (x.real == 0) & (x.imag == 0)
-    return np.where(zero, 0.0, p[0]), np.where(zero, 0.0, p[1])
+    return p
 
 
 def _raw(nvars: int, terms: dict) -> Polynomial:

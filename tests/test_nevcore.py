@@ -496,6 +496,31 @@ def test_batched_characteristic_matches_per_radius_loop(case):
         assert abs(g.err - w.err) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("zero_lines", [[1], [0]])
+def test_component_vanishing_on_a_line_drops_out_of_its_max(zero_lines):
+    # X2 vanishes identically on the x2-axis line: that line's max reads
+    # the other component, every other line both.  There the vanishing
+    # component may have a pole, at the node u = 2 of r = 2, where its log
+    # is not -inf but NaN: X2 / (Y2 - 2) is entire, u / -2, on the x1 axis
+    quad = QuadratureSpec(n_lines=3, n_theta=64, seed=5)
+    dirs = DirectionSet.sample(2, quad)
+    dirs.directions[zero_lines] = ON_X2_AXIS
+    f = ProjectiveMap([RationalSlice(X2), RationalSlice(X2 * Y2 + Y2 + 1)])
+    if zero_lines == [0]:
+        dirs = DirectionSet(np.array([ON_X2_AXIS, [1.0, 0.0]]),
+                            np.full(2, 0.5))
+        f = ProjectiveMap([RationalSlice(RationalFunction(X2, Y2 - 2)),
+                           RationalSlice(Y2 + 3)])
+    grid = RadialGrid((2.0, 10.0, 100.0))
+    got = characteristic(f, grid, quad, dirs)
+    want, retried = _reference_characteristic(f, grid, quad, dirs)
+    assert not retried
+    for g, w in zip(got, want):
+        scale = max(abs(w.t_val), 1.0)
+        assert abs(g.t_val - w.t_val) <= 1e-12 * scale
+        assert abs(g.err - w.err) <= 1e-12 * scale
+
+
 def _circle(r, n_theta, offset):
     th = (np.arange(n_theta) + offset) * (2 * np.pi / n_theta)
     return r * np.exp(1j * th)

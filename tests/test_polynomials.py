@@ -164,8 +164,8 @@ def test_restrict_numeric_rows_are_the_scalar_restriction_bitwise(case):
 
 
 def test_restrict_numeric_high_power_and_signed_zero_coordinates():
-    # x**e for e >= 100 is libm's cpow, taken per entry; a zero base of
-    # either sign gives +0 in numpy's scalar power
+    # x**e for e >= 100 is libm's cpow, taken per entry; signed zero
+    # coordinates
     x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     p = x ** 101 + GaussianRational(Fraction(1, 3), Fraction(-2)) * x * y ** 5
     lines = np.array([[0.99 + 0.1j, -0.0 - 0.0j], [complex(-0.0, 0.5), 1j],

@@ -16,7 +16,7 @@ from nevlab.errors import UsageError
 from nevlab.funcspace import (CompositionSlice, HomogeneousForm,
                               ProductEntireSlice, ProductSlice, ProjectiveMap,
                               QPochhammerSpec, QuotientSlice, RationalSlice,
-                              constant_slice)
+                              ShiftedSlice, constant_slice)
 from nevlab.nevcore import (DirectionSet, QuadratureSpec, RadialGrid,
                             counting, fmt_residual)
 from nevlab.polynomials import Polynomial, RationalFunction
@@ -812,3 +812,22 @@ def test_bundle_reads_nodes_on_a_zero_and_a_pole():
     [(z0, p0), (z1, p1)] = rat.divisor(10.0)
     assert [m for _, m in z1] == [1] and abs(z1[0][0] - 1) < 1e-12
     assert [m for _, m in p1] == [1] and abs(p1[0][0] - 4) < 1e-12
+
+
+@pytest.mark.parametrize("m, K", [(1, 1), (1, 3), (2, 1), (2, 3)])
+def test_shifted_bundle_lines_are_the_shifted_lines_alone(m, K):
+    # h(factors * z) on each line is h on the line through factors * xi,
+    # that product taken for the line alone (a broadcast product of one
+    # entry rounds differently)
+    rng = np.random.default_rng(10 * m + K)
+    arg = Polynomial(m, {tuple(int(i == j) for i in range(m)): 1
+                         for j in range(m)})
+    h = ProductEntireSlice(QPochhammerSpec(Fraction(1, 2), arg))
+    for _ in range(20):
+        factors = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        lines = rng.standard_normal((K, m)) + 1j * rng.standard_normal((K, m))
+        got = ShiftedSlice(h, factors).line_view(lines).log_values(
+            BUNDLE_NODES)
+        for k, xi in enumerate(lines):
+            want = h.line_view((factors * xi)[None]).log_values(BUNDLE_NODES)
+            assert got[k].tobytes() == want[0].tobytes()
