@@ -252,8 +252,8 @@ def directions_for(quad: QuadratureSpec, *slices: SliceFunction,
 # line x node entries one pass of a functional holds at most.  At the
 # default 5 or 6 radii x 512 nodes this is one line per pass, and the peak
 # memory of a seed-7 rational_maps cycle stays that of the per-line loop
-# (40.5 MB against 40.4); 2**13 read 41.6 MB and 2**15 47.5 MB, for 12%
-# less time than 2**12.  A small quadrature takes several lines per pass.
+# (40.5 MB against 40.4); 2**13 read 41.6 MB and 2**15 47.5 MB, for about
+# 10% less time than 2**12.  A small quadrature takes several lines per pass.
 _LINE_PASS = 2 ** 12
 
 
