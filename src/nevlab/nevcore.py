@@ -6,8 +6,7 @@ unit-total-mass weights; for m = 1 the average degenerates to the single
 slice u -> h(u).  One direction picker, `directions_for`, draws the
 directions for every functional and harness.  Each slice is restricted to
 all of them in one call, a line bundle (`SliceFunction.line_view`), and one
-weighted line sum, `_line_sum`, evaluates the bundle in passes of
-consecutive lines that hold a bounded number of line x node entries and
+weighted line sum, `_line_sum`, evaluates the bundle one line per call and
 averages the per-line values in direction order.
 All normalizations are taken at base radius 1 (counting integrals start at
 1, characteristics subtract their value on the unit sphere), so zeros and
@@ -249,27 +248,14 @@ def directions_for(quad: QuadratureSpec, *slices: SliceFunction,
     return DirectionSet.sample(nvars, quad).resample_against(bad, quad)
 
 
-# line x node entries one pass of a functional holds at most.  At the
-# default 5 or 6 radii x 512 nodes this is one line per pass, and the peak
-# memory of a seed-7 rational_maps cycle stays that of the per-line loop
-# (40.5 MB against 40.4); 2**13 read 41.6 MB and 2**15 47.5 MB, for about
-# 10% less time than 2**12.  A small quadrature takes several lines per pass.
-_LINE_PASS = 2 ** 12
-
-
-def _line_sum(dirs: DirectionSet, rows: Callable[[slice], np.ndarray],
-              nodes: int = 0):
+def _line_sum(dirs: DirectionSet, rows: Callable[[slice], np.ndarray]):
     """sum_k w_k * row_k in direction order, starting from 0.0.  rows(lines)
     returns the rows of the directions dirs.directions[lines], stacked on a
-    leading axis; it is called on passes of consecutive lines that hold at
-    most _LINE_PASS line x node entries at `nodes` nodes per line (at least
-    one line), and each line's row does not depend on its pass."""
-    step = max(1, _LINE_PASS // max(nodes, 1))
+    leading axis; it is called one line at a time, which bounds the line x
+    node entries a functional holds to those of one line."""
     total = 0.0
-    for lo in range(0, len(dirs.weights), step):
-        lines = slice(lo, lo + step)
-        for w, row in zip(dirs.weights[lines], rows(lines)):
-            total = total + w * row
+    for k, w in enumerate(dirs.weights):
+        total = total + w * rows(slice(k, k + 1))[0]
     return total
 
 
@@ -302,7 +288,7 @@ def proximity(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
             view[lines].log_abs, grid.radii, quad.n_theta,
             reduce=lambda a: np.maximum(a, 0.0)), axis=1)
 
-    mv, err = _line_sum(dirs, rows, len(grid.radii) * quad.n_theta)
+    mv, err = _line_sum(dirs, rows)
     return _samples(grid.radii, m_val=mv, err=err)
 
 
@@ -340,7 +326,7 @@ def characteristic(f: ProjectiveMap, grid: RadialGrid, quad: QuadratureSpec,
         return np.stack([full[:, 1:] - full[:, :1],
                          err[:, 1:] + err[:, :1]], axis=1)
 
-    t, err = _line_sum(dirs, rows, (len(grid.radii) + 1) * quad.n_theta)
+    t, err = _line_sum(dirs, rows)
     return _samples(grid.radii, t_val=t, err=err)
 
 
@@ -371,16 +357,17 @@ def jensen_residual(h: SliceFunction, grid: RadialGrid, quad: QuadratureSpec,
     view = h.line_view(dirs.directions)
     if not view.has_closed_zeros:
         raise UsageError("Jensen residual needs certified zero multisets")
-    counts = _line_counts(view, grid.radii, quad.n_theta)
 
     def rows(lines):
-        full, err = circle_mean_log(view[lines].log_abs,
-                                    (1.0,) + tuple(grid.radii), quad.n_theta)
-        nz, npole = counts[lines, 0], counts[lines, 1]
+        line = view[lines]
+        full, err = circle_mean_log(line.log_abs, (1.0,) + tuple(grid.radii),
+                                    quad.n_theta)
+        counts = _line_counts(line, grid.radii, quad.n_theta)
+        nz, npole = counts[:, 0], counts[:, 1]
         return np.stack([(nz - npole) - (full[:, 1:] - full[:, :1]),
                          err[:, 1:] + err[:, :1]], axis=1)
 
-    mv, err = _line_sum(dirs, rows, (len(grid.radii) + 1) * quad.n_theta)
+    mv, err = _line_sum(dirs, rows)
     return _samples(grid.radii, m_val=mv, err=err)
 
 
@@ -394,20 +381,22 @@ def fmt_residual(f: ProjectiveMap, D, grid: RadialGrid,
     dirs = directions_for(quad, df, f=f)
     views = [c.line_view(dirs.directions) for c in f.components]
     dview = df.line_view(dirs.directions)
-    counts = _line_counts(dview, grid.radii, quad.n_theta)
 
     def rows(lines):
+        # per line, the components are checked holomorphic before D(f)
+        # is counted
         lmax, el = _log_max_norm([v[lines] for v in views], grid.radii,
                                  quad.n_theta)
-        idf, ed = circle_mean_log(dview[lines].log_abs, grid.radii,
-                                  quad.n_theta)
-        nz, en = counts[lines, 0], counts[lines, 2]
+        dline = dview[lines]
+        idf, ed = circle_mean_log(dline.log_abs, grid.radii, quad.n_theta)
+        counts = _line_counts(dline, grid.radii, quad.n_theta)
+        nz, en = counts[:, 0], counts[:, 2]
         # m_f(r,Q) = mean log(||f||^d / |D(f)|); T normalized at 1
         mval, tval = d * lmax[:, 1:] - idf, lmax[:, 1:] - lmax[:, :1]
         return np.stack([mval + nz - d * tval,
                          el[:, 1:] + ed + en + d * el[:, :1]], axis=1)
 
-    mv, err = _line_sum(dirs, rows, (len(grid.radii) + 1) * quad.n_theta)
+    mv, err = _line_sum(dirs, rows)
     return _samples(grid.radii, m_val=mv, err=err)
 
 

@@ -6,7 +6,7 @@ axis.  A slice function builds the bundle of all the lines it is asked for
 in one call (one restriction per polynomial, one matrix product for the
 linear part of a q-Pochhammer argument), and each line of a bundle is
 bitwise the same view of that line alone.  view[lo:hi] is the bundle of a
-slice of the lines, which is how the functionals split a pass.  Views are
+slice of the lines, which is how the functionals read one line.  Views are
 evaluated in the log domain, so that high-degree compositions never
 overflow:
 
@@ -470,10 +470,15 @@ def _monomial_log_matrix(comp: np.ndarray, monomials) -> np.ndarray:
     return logm
 
 
-def _shifted_entire(columns: Sequence[LineView], shifts: int) -> np.ndarray:
+def _shifted_entire(columns: Sequence[LineView], shifts: int,
+                    message: str) -> np.ndarray:
     """Per line, whether every column bundle is entire on all its shifted
     lines; each bundle holds `shifts` shifted lines per line, line by
-    line."""
+    line.  Columns of unequal length, or of a length that is no multiple
+    of `shifts`, are rejected with `message`."""
+    sizes = {len(c) for c in columns}
+    if len(sizes) != 1 or not shifts or sizes.pop() % shifts:
+        raise UsageError(message)
     return np.all([c.is_entire.reshape(-1, shifts) for c in columns],
                   axis=(0, 2))
 
@@ -497,9 +502,8 @@ class MonomialDeterminantLineView(LineView):
     def __init__(self, columns: Sequence[LineView], monomials):
         self.columns = list(columns)
         self.monos = [tuple(e) for e in monomials]
-        if len(self.columns[0]) % len(self.monos):
-            raise UsageError("need as many shifts as monomials")
-        self.is_entire = _shifted_entire(self.columns, len(self.monos))
+        self.is_entire = _shifted_entire(self.columns, len(self.monos),
+                                         "need as many shifts as monomials")
         self.has_closed_zeros = False
         self.identically_zero = np.zeros(len(self.is_entire), dtype=bool)
 
@@ -620,7 +624,9 @@ class DeterminantLineView(LineView):
 
     def __init__(self, columns: Sequence[LineView]):
         self.columns = list(columns)
-        self.is_entire = _shifted_entire(self.columns, len(self.columns))
+        self.is_entire = _shifted_entire(
+            self.columns, len(self.columns),
+            "determinant view needs a square matrix")
         self.has_closed_zeros = False
         # decided by the caller's sampling
         self.identically_zero = np.zeros(len(self.is_entire), dtype=bool)

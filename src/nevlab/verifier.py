@@ -234,7 +234,7 @@ def verify_hsmt_weil(f: ProjectiveMap, hyperplanes: Sequence[HomogeneousForm],
         return circle_mean_log(lambda u: weil(cv, hv, u), grid.radii,
                                quad.n_theta, reduce=best)[0]
 
-    lhs_vals = _line_sum(dirs, rows, len(grid.radii) * quad.n_theta)
+    lhs_vals = _line_sum(dirs, rows)
     for s, nc, lhs in zip(t, n_cas, lhs_vals):
         rhs = (n + 1) * s.t_val - nc.n_zero
         rep.rows.append(SmtRow(s.r, lhs, rhs, rhs - lhs, s.err + nc.err))

@@ -24,7 +24,7 @@ from nevlab.funcspace import SliceFunction
 from nevlab.funcspace import HomogeneousForm
 from nevlab.polynomials import Polynomial, RationalFunction
 from nevlab.serialize import load_run_config
-from nevlab.verifier import verify_cartan_smt, verify_hsmt_weil
+from nevlab.verifier import verify_cartan_smt
 from nevlab.slicing import (LineView, PochhammerLineView, ProductLineView,
                             QuotientLineView, RationalLineView)
 import nevlab.nevcore as nevcore
@@ -199,17 +199,15 @@ def test_line_sum_is_the_per_direction_accumulation_bitwise():
             for row, wk in zip(rows, dirs.weights):
                 acc += wk * row[j, i]
             want[j, i] = acc
-    # passes of 16, 1, 2 and 7 lines
-    for nodes in (0, nevcore._LINE_PASS, nevcore._LINE_PASS // 2, nevcore._LINE_PASS // 7):
-        passes = []
+    passes = []
 
-        def part(lines):
-            passes.append(lines)
-            return rows[lines]
+    def part(lines):
+        passes.append(lines)
+        return rows[lines]
 
-        got = _line_sum(dirs, part, nodes)
-        assert got.tobytes() == want.tobytes()
-        assert len(passes) == -(-16 // max(1, nevcore._LINE_PASS // max(nodes, 1)))
+    assert _line_sum(dirs, part).tobytes() == want.tobytes()
+    # one line per call
+    assert passes == [slice(k, k + 1) for k in range(16)]
 
 
 def test_counting_closed_form():
@@ -679,50 +677,24 @@ def test_circle_mean_log_raises_when_retry_stays_singular(reduce):
 
 
 # ---------------------------------------------------------------------------
-# passes: a functional reads its bundles in passes of consecutive lines
+# bundles: a functional restricts each slice to all its lines at once and
+# reads them one line per call
 # ---------------------------------------------------------------------------
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def _pass_functionals():
-    """name -> (nodes per line, rows of the functional as bytes) for every
-    functional that splits its lines into passes, on 16 lines x 64 theta."""
-    cfg = load_run_config(os.path.join(DATA, "golden_run.json"))
-    quad = QuadratureSpec(n_lines=16, n_theta=64, seed=3)
-    grid = RadialGrid((10.0, 100.0, 1000.0))
-    f = cfg.map
-    h = RationalSlice(RationalFunction(X2 * X2 + Y2 - 1,
-                                       X2 - Y2.scale(2) + 3))
-    R, N = len(grid.radii), quad.n_theta
-
-    def fields(samples):
-        return np.array([[s.m_val, s.n_zero, s.n_pole, s.t_val, s.err]
-                         for s in samples]).tobytes()
-
-    def weil():
-        rep = verify_hsmt_weil(f, cfg.forms, cfg.q, grid, quad)
-        return np.array([[r.lhs, r.rhs, r.err] for r in rep.rows]).tobytes()
-
-    return {
-        "proximity": (R * N, lambda: fields(proximity(h, grid, quad))),
-        "characteristic": ((R + 1) * N,
-                           lambda: fields(characteristic(f, grid, quad))),
-        "jensen_residual": ((R + 1) * N,
-                            lambda: fields(jensen_residual(h, grid, quad))),
-        "fmt_residual": ((R + 1) * N, lambda: fields(nevcore.fmt_residual(
-            f, HomogeneousForm.hyperplane([1, -2, 3]), grid, quad))),
-        "weil": (R * N, weil),
-    }
-
-
-@pytest.mark.parametrize("lines", [1, 7])
-def test_pass_cap_keeps_every_row(monkeypatch, lines):
-    for name, (nodes, rows) in _pass_functionals().items():
-        monkeypatch.setattr(nevcore, "_LINE_PASS", 2 ** 40)
-        want = rows()
-        monkeypatch.setattr(nevcore, "_LINE_PASS", lines * nodes)
-        assert rows() == want, name
+def test_fmt_residual_rejects_a_pole_before_counting():
+    # D(f) of a q-Pochhammer and a rational component with a pole is a form
+    # composition with neither closed zeros nor an entire slice: the
+    # components are rejected first, as a usage error
+    f = ProjectiveMap([
+        ProductEntireSlice(QPochhammerSpec(Fraction(1, 2), X2)),
+        RationalSlice(RationalFunction(Polynomial.constant(1, 2), Y2 - 3))])
+    with pytest.raises(UsageError, match="holomorphic components"):
+        nevcore.fmt_residual(f, HomogeneousForm.hyperplane([1, 1]),
+                             RadialGrid((10.0, 100.0)),
+                             QuadratureSpec(n_lines=4, n_theta=64))
 
 
 def test_one_restriction_per_polynomial_for_all_lines(monkeypatch):

@@ -685,6 +685,27 @@ def test_log_abs_matches_real_part_of_log_values(name):
     assert np.all(np.isfinite(np.delete(got, list(expect))))
 
 
+def test_determinant_views_reject_columns_of_the_wrong_shape():
+    def rational(k):
+        return RationalLineView(np.ones((k, 2)), np.ones((k, 1)))
+
+    # two columns of two shifted lines form one square line; unequal
+    # columns, or a length that is no multiple of the shifts, are rejected
+    assert len(DeterminantLineView([rational(2), rational(2)])) == 1
+    for columns in ([rational(2), rational(4)], [rational(3), rational(3)],
+                    []):
+        with pytest.raises(UsageError, match="square matrix"):
+            DeterminantLineView(columns)
+    monos = [(1, 0), (0, 1)]
+    assert len(MonomialDeterminantLineView(
+        [rational(4), rational(4)], monos)) == 2
+    for columns in ([rational(2), rational(4)], [rational(3), rational(3)]):
+        with pytest.raises(UsageError, match="as many shifts"):
+            MonomialDeterminantLineView(columns, monos)
+    with pytest.raises(UsageError, match="as many shifts"):
+        MonomialDeterminantLineView([rational(2)], [])
+
+
 def test_pochhammer_log_abs_is_bitwise_real_part():
     view = PochhammerLineView(0.3 - 0.4j, [2 - 1j, 0.5j], [0.5, -1])
     u = np.concatenate([NODES, 10.0 ** np.arange(-3, 150, 7) * (1 - 1j)])
